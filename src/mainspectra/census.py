@@ -3,8 +3,9 @@
 Enumerates every switch of a base graph (one subset per bipartition, i.e.
 2^(n-1) subsets avoiding vertex 0, or all 2^n subsets), classifies each
 member exactly, and aggregates counts keyed by (two-walk parameters or
-regular, valency multiset, connectivity).  The inner loop works on raw
-adjacency bitmasks; exact rational solves confirm every (alpha, beta).
+regular, valency multiset, connectivity).  Members are processed in blocks:
+one numpy pass over a block's adjacency tensor computes every member's
+integer census key and checks its Seidel power sums against the base's.
 
 A non-regular member without two-walk parameters contradicts the structure
 theory of non-trivial regular two-graphs and aborts the run loudly.
@@ -19,18 +20,27 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
+from math import isqrt
 from multiprocessing import get_context
 
 import numpy as np
 
 from .graph6 import write_graph6
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, is_connected
 from .linalg import char_poly
-from .seidel import seidel_matrix, seidel_report, srg_params, switch_mask, verify_nonregular_structure
+from .seidel import (
+    seidel_matrix,
+    seidel_report,
+    srg_params,
+    switch_mask,
+    verify_nonregular_structure,
+)
 from .spectrum import QuadraticPair
 
 MAX_CENSUS_VERTICES = 24
-SEIDEL_SAMPLE_STRIDE = 101
+# Members per kernel pass.  Larger blocks buy little speed at n=16 and cost
+# peak memory: a kernel holds six (BLOCK, n, n) arrays of 8-byte numbers.
+BLOCK = 64
 
 
 class Convention(str, Enum):
@@ -42,56 +52,39 @@ class ClassificationError(RuntimeError):
     """A member violated the structure forced by its switching class."""
 
 
-def _masks(n: int, convention: Convention):
-    if convention is Convention.UP_TO_COMPLEMENT:
-        return (sub << 1 for sub in range(1 << (n - 1)))
-    return iter(range(1 << n))
+def _check_size(n: int) -> None:
+    if n > MAX_CENSUS_VERTICES:
+        raise ValueError(f"switching class too large: n={n} > {MAX_CENSUS_VERTICES}")
+
+
+def _shift(convention: Convention) -> int:
+    """Subset index sub stands for the switching mask sub << shift."""
+    return 1 if convention is Convention.UP_TO_COMPLEMENT else 0
 
 
 def enumerate_switching_class(base: Graph, convention=Convention.UP_TO_COMPLEMENT):
     """Yield (subset mask, member graph) in binary-counter order."""
-    if base.n > MAX_CENSUS_VERTICES:
-        raise ValueError(f"switching class too large: n={base.n} > {MAX_CENSUS_VERTICES}")
-    for mask in _masks(base.n, Convention(convention)):
-        yield mask, switch_mask(base, mask)
-
-
-def _member_rows(base_rows: tuple, n: int, mask: int) -> list[int]:
-    inv = ((1 << n) - 1) & ~mask
-    return [r ^ (inv if (mask >> v) & 1 else mask) for v, r in enumerate(base_rows)]
-
-
-def _rows_connected(rows: list[int], n: int) -> bool:
-    reach = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in range(n):
-            if (frontier >> v) & 1:
-                new |= rows[v]
-        frontier = new & ~reach
-        reach |= frontier
-    return reach == (1 << n) - 1
+    _check_size(base.n)
+    shift = _shift(Convention(convention))
+    for sub in range(1 << (base.n - shift)):
+        yield sub << shift, switch_mask(base, sub << shift)
 
 
 Key = tuple  # (kind, alpha, beta, ((valency, multiplicity), ...), connected)
 
 
-def _classify_rows(rows: list[int], n: int) -> Key:
-    degs = [r.bit_count() for r in rows]
-    connected = _rows_connected(rows, n)
+def classify_member(g: Graph) -> Key:
+    """Census key of one graph: regular flag or exact (alpha, beta), the
+    valency multiset, and connectivity.
+
+    The single-graph reference for the batched kernel (`_BlockKernel.keys`)."""
+    n = g.n
+    degs = [r.bit_count() for r in g.rows]
+    connected = is_connected(g)
     valencies = tuple(sorted(Counter(degs).items()))
     if len(valencies) == 1:
         return ("regular", None, None, valencies, connected)
-    ad = [0] * n
-    for v in range(n):
-        row = rows[v]
-        acc = 0
-        while row:
-            low = row & -row
-            acc += degs[low.bit_length() - 1]
-            row ^= low
-        ad[v] = acc
+    ad = [sum(degs[u] for u in g.neighbors(v)) for v in range(n)]
     j = next(v for v in range(n) if degs[v] != degs[0])
     p = ad[0] - ad[j]
     q = degs[0] - degs[j]
@@ -105,37 +98,214 @@ def _classify_rows(rows: list[int], n: int) -> Key:
     return ("nonregular", Fraction(p, q), Fraction(bn, q), valencies, connected)
 
 
-def classify_member(g: Graph) -> Key:
-    """Census key of one graph: regular flag or exact (alpha, beta), the
-    valency multiset, and connectivity."""
-    return _classify_rows(list(g.rows), g.n)
+# ---------------------------------------------------------------------------
+# batched kernel
+#
+# A block is the float64 adjacency tensor (B, n, n) of B members.  Every
+# float64 matrix product below has integer entries whose partial sums stay
+# below 2^52 in absolute value (see _power_sum_moduli), so BLAS computes
+# them exactly; results are cast to int64 before any decision is taken.
 
 
-def _census_chunk(args) -> dict:
-    base_rows, n, start, stop, convention_value = args
-    shift = 1 if Convention(convention_value) is Convention.UP_TO_COMPLEMENT else 0
-    out: dict[Key, list] = {}
-    for sub in range(start, stop):
-        mask = sub << shift
-        key = _classify_rows(_member_rows(base_rows, n, mask), n)
-        slot = out.get(key)
-        if slot is None:
-            out[key] = [1, sub]
-        else:
-            slot[0] += 1
-    return out
+def _census_key(row: list[int]) -> Key:
+    q, p, b, connected, *counts = row
+    valencies = tuple((d, m) for d, m in enumerate(counts) if m)
+    if q == 0:
+        return ("regular", None, None, valencies, bool(connected))
+    return ("nonregular", Fraction(p, q), Fraction(b, q), valencies, bool(connected))
 
 
-def _merge(maps) -> dict:
-    total: dict[Key, list] = {}
-    for m in maps:
-        for key, (count, rep) in m.items():
-            slot = total.get(key)
+def _power_sum_moduli(n: int) -> tuple[int, ...]:
+    """Moduli under which the Seidel power sums p_1..p_n are compared.
+
+    For the Seidel matrix S of an n-vertex graph |S^k|_ij <= (n-1)^(k-1), so
+    the float64 powers up to ceil(n/2) are exact integers while
+    (n-1)^(ceil(n/2)-1) < 2^52, which holds for every n <= 24 (the margin
+    keeps their reduction modulo a prime exact in float64 too).  The sums
+    p_(a+b) = <S^a, S^b> satisfy |p_k| <= n^2 (n-1)^(k-2).  While that bound
+    fits int64 (n <= 16) they are compared exactly and no modulus is needed.
+    Otherwise they are compared modulo the largest primes below 2^24 whose
+    product exceeds twice the bound, so equal residues mean equal sums; each
+    residue product is below 2^48 and n^2 of them sum below 2^63.
+    """
+    half = -(-n // 2)
+    if (n - 1) ** (half - 1) >= 2**52 or n * n >= 2**15:
+        raise ValueError(f"Seidel power sums are not exact in 64-bit arithmetic for n={n}")
+    bound = n * n * (n - 1) ** max(n - 2, 0)
+    moduli: list[int] = []
+    product = 1
+    candidate = 1 << 24
+    while bound >= 2**63 and product <= 2 * bound:
+        candidate -= 1
+        if all(candidate % f for f in range(2, isqrt(candidate) + 1)):
+            moduli.append(candidate)
+            product *= candidate
+    return tuple(moduli)
+
+
+def _power_sum_targets(seidel_char_poly: tuple) -> list[tuple[int, list[int]]]:
+    """(modulus, [p_1..p_n]) pairs every member must reproduce; modulus 0
+    means exact.  The power sums come from the base's Seidel characteristic
+    polynomial by Newton's identities."""
+    n = len(seidel_char_poly) - 1
+    c = seidel_char_poly[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
+    sums: list[int] = []
+    for k in range(1, n + 1):
+        sums.append(-k * c[k] - sum(c[i] * sums[k - 1 - i] for i in range(1, k)))
+    moduli = _power_sum_moduli(n)
+    if not moduli:
+        return [(0, sums)]
+    return [(m, [s % m for s in sums]) for m in moduli]
+
+
+class _BlockKernel:
+    """Switches of one base graph, BLOCK members at a time.
+
+    Owns the block buffers and reuses them from block to block: fresh
+    arrays for every block cost more in page faults than the arithmetic
+    does (about twice the time of the power-sum check at n=16).
+    """
+
+    def __init__(self, base_adj: np.ndarray, shift: int):
+        n = base_adj.shape[0]
+        self.base_adj = base_adj
+        self.shift = shift
+        self.vertex = np.arange(n)
+        # low and high hold consecutive Seidel powers, and serve keys() as
+        # reachability buffers; scratch is touched only on the modular route.
+        self.adj, self.low, self.high, self.scratch = np.empty((4, BLOCK, n, n))
+        self.low_image, self.high_image = np.empty((2, BLOCK, n, n), dtype=np.int64)
+
+    def blocks(self, start: int, stop: int):
+        """Yield (subset indices, member adjacency tensor) for start..stop-1;
+        the tensor is overwritten by the next block."""
+        for lo in range(start, stop, BLOCK):
+            subs = np.arange(lo, min(lo + BLOCK, stop), dtype=np.int64)
+            side = (((subs << self.shift)[:, None] >> self.vertex) & 1).astype(np.float64)
+            adj = self.adj[: len(subs)]
+            np.subtract(side[:, :, None], side[:, None, :], out=adj)
+            np.abs(adj, out=adj)
+            np.subtract(self.base_adj, adj, out=adj)
+            np.abs(adj, out=adj)
+            yield subs, adj
+
+    def keys(self, adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integer census keys of a block, and the members that have none.
+
+        Key row: q, p, b, connected, then the count of each valency 0..n-1.
+        Non-regular members have q != 0, alpha = p/q and beta = b/q, from
+        the cross-multiplied test q (A d) = p d + b j anchored at vertex 0
+        and the first vertex whose degree differs; regular members have
+        q = p = b = 0.  The second array flags non-regular members failing
+        that test.
+        """
+        bsz, n, _ = adj.shape
+        deg_f = adj.sum(axis=2)
+        ad = np.matmul(adj, deg_f[:, :, None])[:, :, 0].astype(np.int64)
+        deg = deg_f.astype(np.int64)
+        j = (deg != deg[:, :1]).argmax(axis=1)  # 0 for regular members
+        rows = np.arange(bsz)
+        q = deg[:, 0] - deg[rows, j]
+        p = ad[:, 0] - ad[rows, j]
+        b = ad[:, 0] * q - p * deg[:, 0]
+        no_two_walk = (q[:, None] * ad != p[:, None] * deg + b[:, None]).any(axis=1)
+
+        reach, square = self.low[:bsz], self.high[:bsz]
+        np.add(adj, np.eye(n), out=reach)
+        for _ in range((n - 2).bit_length()):  # 2^squarings >= n - 1
+            np.matmul(reach, reach, out=square)
+            np.minimum(square, 1.0, out=reach)
+        connected = reach[:, 0, :].all(axis=1)
+
+        valency_counts = (deg[:, :, None] == np.arange(n)).sum(axis=1)
+        keys = np.column_stack((q, p, b, connected, valency_counts))
+        return keys, no_two_walk
+
+    def _image(self, power: np.ndarray, modulus: int, out: np.ndarray) -> None:
+        """power as int64, reduced modulo modulus unless it is 0."""
+        if modulus:
+            # x - q floor(x / q) is exact in float64 for |x| < 2^52.
+            rest = self.scratch[: len(power)]
+            np.divide(power, modulus, out=rest)
+            np.floor(rest, out=rest)
+            rest *= -modulus
+            rest += power
+            power = rest
+        out[...] = power
+
+    def check_power_sums(self, adj: np.ndarray, subs: np.ndarray, targets) -> None:
+        """Raise unless every member's Seidel power sums p_1..p_n equal the
+        targets (see `_power_sum_targets`).  Overwrites adj with the Seidel
+        matrices S = J - I - 2A.
+
+        p_k = <S^a, S^b> with a = k // 2 and b = k - a, walking k upwards
+        with S^a and S^b (b = a or a + 1) as the only powers held.
+        """
+        bsz, n, _ = adj.shape
+        s = adj
+        s *= -2.0
+        s += 1.0 - np.eye(n)
+        differ = np.zeros(bsz, dtype=bool)
+        for modulus, want in targets:
+            low, high = self.low[:bsz], self.high[:bsz]
+            low_image, high_image = self.low_image[:bsz], self.high_image[:bsz]
+            low[...] = np.eye(n)
+            low_image[...] = np.eye(n, dtype=np.int64)
+            for k in range(1, n + 1):
+                if k % 2:  # b = a + 1
+                    np.matmul(low, s, out=high)
+                    self._image(high, modulus, high_image)
+                else:  # a = b: the higher power becomes the lower one
+                    low, high = high, low
+                    low_image, high_image = high_image, low_image
+                got = np.einsum("bij,bij->b", low_image, high_image if k % 2 else low_image)
+                if modulus:
+                    got %= modulus
+                differ |= got != want[k - 1]
+        if differ.any():
+            raise ClassificationError(
+                f"Seidel power sums changed under switching at subset {subs[differ.argmax()]}"
+            )
+
+
+def _census_chunk(args) -> tuple[dict, int]:
+    """Integer-key counts of subsets start..stop-1 and the number of members
+    whose Seidel power sums were checked (targets None: unchecked)."""
+    base_adj, shift, targets, start, stop = args
+    kernel = _BlockKernel(base_adj, shift)
+    out: dict[tuple, list] = {}
+    for subs, adj in kernel.blocks(start, stop):
+        keys, no_two_walk = kernel.keys(adj)
+        if no_two_walk.any():
+            i = no_two_walk.argmax()
+            degs = sorted(set(adj[i].sum(axis=1).astype(int).tolist()))
+            raise ClassificationError(
+                f"non-regular member at subset {subs[i]} without two-walk "
+                f"parameters: degrees {degs}"
+            )
+        if targets is not None:
+            kernel.check_power_sums(adj, subs, targets)
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        for key, sub in zip(rows.tolist(), subs.tolist()):
+            slot = out.get(key)
             if slot is None:
-                total[key] = [count, rep]
+                out[key] = [1, sub]
             else:
-                slot[0] += count
-                slot[1] = min(slot[1], rep)
+                slot[0] += 1
+    return out, 0 if targets is None else stop - start
+
+
+def _merge(items) -> dict:
+    """Add (key, count, representative) items up by key, keeping the
+    smallest representative."""
+    total: dict[Key, list] = {}
+    for key, count, rep in items:
+        slot = total.get(key)
+        if slot is None:
+            total[key] = [count, rep]
+        else:
+            slot[0] += count
+            slot[1] = min(slot[1], rep)
     return total
 
 
@@ -193,6 +363,10 @@ class CensusTable:
     convention: Convention
     rows: tuple
     totals: dict
+    # What verify checked: seidel_members_checked (members whose Seidel
+    # power sums p_1..p_n were compared with the base's), structure_checks
+    # ("ran" or "skipped") and structure_skip_reason (why, or None).
+    verification: dict
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -207,6 +381,7 @@ class CensusTable:
             "base_graph6": self.base_graph6,
             "convention": self.convention.value,
             "totals": self.totals,
+            "verification": self.verification,
             "rows": [
                 {
                     "kind": r.kind,
@@ -228,14 +403,19 @@ class CensusTable:
         }
 
 
-def _structure_checks_apply(rep) -> bool:
-    # Non-trivial regular two-graph with integral Seidel spectrum.
-    return (
-        rep.regular_two_graph
-        and rep.spectrum is not None
-        and len(rep.spectrum) == 2
-        and min(m for _, m in rep.spectrum) >= 2
-    )
+def _structure_skip_reason(rep) -> str | None:
+    """None when the class is a non-trivial regular two-graph with integral
+    Seidel spectrum (the structure checks apply), else why they do not."""
+    if not rep.regular_two_graph:
+        return (
+            "base is not a regular two-graph "
+            f"(distinct Seidel eigenvalues: {rep.distinct_seidel_count})"
+        )
+    if rep.spectrum is None or len(rep.spectrum) != 2:
+        return "Seidel spectrum is not two integral eigenvalues"
+    if min(m for _, m in rep.spectrum) < 2:
+        return "trivial regular two-graph (a simple Seidel eigenvalue)"
+    return None
 
 
 def _expected_alpha(spectrum) -> Fraction | None:
@@ -266,7 +446,9 @@ def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep) -> None:
             f"alpha {row.alpha} != {expected} forced by the Seidel spectrum"
         )
     if row.connected:
-        verdict = verify_nonregular_structure(member)
+        # Every member's Seidel power sums matched the base's, so the base's
+        # Seidel spectrum is the member's.
+        verdict = verify_nonregular_structure(member, base_rep)
         if not verdict.passed:
             raise ClassificationError(
                 f"four-eigenvalue structure failed at subset {row.representative_subset}"
@@ -297,29 +479,36 @@ def census_table(
     """Aggregate the full switching-class census of the base graph.
 
     Deterministic for any worker count: workers own disjoint subset ranges
-    and the merge adds exact counts keyed identically.  With verify=True the
-    representative of every row is re-checked against the forced spectral
-    structure (when the class is a non-trivial regular two-graph) and a
-    deterministic sample of members is re-checked for Seidel char-poly
-    invariance.
+    and the merge adds exact counts keyed identically.  With verify=True
+    every member's Seidel power sums p_1..p_n are checked, inside the
+    workers, against those of the base's Seidel characteristic polynomial
+    (exactly in int64 for n <= 16, modulo primes whose product exceeds twice
+    the bound n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`),
+    and when the class is a non-trivial regular two-graph the representative
+    of every row is re-checked against the forced spectral structure.
+    ``verification`` on the result says what was checked and what skipped.
     """
     convention = Convention(convention)
-    if base.n > MAX_CENSUS_VERTICES:
-        raise ValueError(f"switching class too large: n={base.n} > {MAX_CENSUS_VERTICES}")
-    shift = 1 if convention is Convention.UP_TO_COMPLEMENT else 0
-    total = 1 << (base.n - 1 if shift else base.n)
+    _check_size(base.n)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    shift = _shift(convention)
+    total = 1 << (base.n - shift)
+    base_rep = seidel_report(base) if verify else None
+    targets = _power_sum_targets(base_rep.seidel_char_poly) if verify else None
+    base_adj = np.array(base.adjacency_matrix(), dtype=np.float64)
+    bounds = [total * i // workers for i in range(workers + 1)]
+    jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(workers)]
     if workers == 1:
-        merged = _census_chunk((base.rows, base.n, 0, total, convention.value))
+        parts = [_census_chunk(jobs[0])]
     else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [
-            (base.rows, base.n, bounds[i], bounds[i + 1], convention.value)
-            for i in range(workers)
-        ]
         with get_context("fork").Pool(workers) as pool:
-            merged = _merge(pool.map(_census_chunk, jobs))
+            parts = pool.map(_census_chunk, jobs)
+    merged = _merge(
+        (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), count, rep)
+        for counts, _ in parts
+        for key, (count, rep) in counts.items()
+    )
 
     rows = tuple(
         CensusRow(
@@ -340,45 +529,25 @@ def census_table(
         "disconnected": sum(r.count for r in rows if not r.connected),
         "rows": len(rows),
     }
-    table = CensusTable(
+    skip_reason = _structure_skip_reason(base_rep) if verify else "verify=False"
+    if skip_reason is None:
+        for row in rows:
+            _verify_row(base, row, shift, base_rep)
+    return CensusTable(
         base_graph6=write_graph6(base),
         convention=convention,
         rows=rows,
         totals=totals,
+        verification={
+            "seidel_members_checked": sum(checked for _, checked in parts),
+            "structure_checks": "skipped" if skip_reason else "ran",
+            "structure_skip_reason": skip_reason,
+        },
     )
-    if verify:
-        base_rep = seidel_report(base)
-        if _structure_checks_apply(base_rep):
-            for row in rows:
-                _verify_row(base, row, shift, base_rep)
-        base_cp = base_rep.seidel_char_poly
-        for sub in range(0, total, SEIDEL_SAMPLE_STRIDE):
-            member = switch_mask(base, sub << shift)
-            if char_poly(seidel_matrix(member)) != base_cp:
-                raise ClassificationError(
-                    f"Seidel char poly changed under switching at subset {sub}"
-                )
-    return table
 
 
 # ---------------------------------------------------------------------------
 # exhaustive switching invariance
-
-
-def _newton_char_poly_int64(s: np.ndarray, n: int) -> tuple:
-    power = s
-    traces = [int(np.trace(s))]
-    for _ in range(n - 1):
-        power = power @ s
-        traces.append(sum(int(power[i, i]) for i in range(n)))
-    coeffs_desc = [1]
-    for k in range(1, n + 1):
-        acc = traces[k - 1]
-        for i in range(1, k):
-            acc += coeffs_desc[i] * traces[k - 1 - i]
-        assert acc % k == 0
-        coeffs_desc.append(-(acc // k))
-    return tuple(reversed(coeffs_desc))
 
 
 def verify_switching_invariance_exhaustive(
@@ -386,27 +555,20 @@ def verify_switching_invariance_exhaustive(
 ) -> int:
     """Check every member's Seidel characteristic polynomial against the base's.
 
-    Uses exact power-sum traces and Newton's identities (int64 arithmetic,
-    safe while n (n-1)^(n-1) fits), a route independent of the
-    Faddeev-LeVerrier channel.  Returns the number of members checked.
+    Runs the census kernel's power-sum check alone: each member's p_1..p_n
+    from exact matrix powers against the base's, derived from its
+    Faddeev-LeVerrier characteristic polynomial by Newton's identities.
+    Returns the number of members checked.
     """
     convention = Convention(convention)
-    n = base.n
-    if n * (n - 1) ** (n - 1) >= 2**63:
-        raise ValueError(f"int64 trace bound exceeded for n={n}")
-    base_cp = char_poly(seidel_matrix(base))
-    adj = np.array(base.adjacency_matrix(), dtype=np.int64)
-    jmi = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    idx = np.arange(n)
-    checked = 0
-    for mask in _masks(n, convention):
-        m = (mask >> idx) & 1
-        cross = m[:, None] ^ m[None, :]
-        s = jmi - 2 * (adj ^ cross)
-        if _newton_char_poly_int64(s, n) != base_cp:
-            raise ClassificationError(f"Seidel char poly changed at mask {mask}")
-        checked += 1
-    return checked
+    _check_size(base.n)
+    shift = _shift(convention)
+    total = 1 << (base.n - shift)
+    targets = _power_sum_targets(char_poly(seidel_matrix(base)))
+    kernel = _BlockKernel(np.array(base.adjacency_matrix(), dtype=np.float64), shift)
+    for subs, adj in kernel.blocks(0, total):
+        kernel.check_power_sums(adj, subs, targets)
+    return total
 
 
 # ---------------------------------------------------------------------------

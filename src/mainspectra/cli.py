@@ -3,6 +3,12 @@
 graph6 is the pipe-friendly default on stdin/stdout; --format json switches
 to full JSON records.  Everything here is deterministic; randomized checks
 live in the test suite only.
+
+Exit status: 0 on success; 1 when analyze met unparsable lines or construct
+could not build its recipe; 2 for bad arguments or input (argparse usage
+errors, unreadable or malformed files, out-of-range parameters); 3 when a
+census member contradicts the structure its switching class forces.
+Errors are reported as one line on stderr, without a traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .census import (
+    ClassificationError,
     Convention,
     bundled_reference_rows,
     census_table,
@@ -287,19 +294,29 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.input_format = args.input_format
         elif hasattr(cfg, name):
             setattr(cfg, name, getattr(args, name))
-    if cfg.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     return cfg
 
 
+EXIT_BAD_INPUT = 2
+EXIT_CONTRADICTION = 3
+
+COMMANDS = {"analyze": cmd_analyze, "construct": cmd_construct, "census": cmd_census}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        parser.error("--workers must be >= 1")
     cfg = config_from_args(args)
-    if cfg.command == "analyze":
-        return cmd_analyze(cfg)
-    if cfg.command == "construct":
-        return cmd_construct(cfg)
-    return cmd_census(cfg)
+    try:
+        return COMMANDS[cfg.command](cfg)
+    except ClassificationError as exc:
+        print(f"mainspectra {cfg.command}: {exc}", file=sys.stderr)
+        return EXIT_CONTRADICTION
+    except (ValueError, OSError) as exc:  # Graph6Error is a ValueError
+        print(f"mainspectra {cfg.command}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

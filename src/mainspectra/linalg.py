@@ -268,7 +268,7 @@ def poly_primitive(p) -> Poly:
     if not p:
         return ()
     g = poly_content(p)
-    return tuple(int(c) // g for c in p)
+    return tuple([int(c) // g for c in p])
 
 
 def _pseudo_rem(p: list, q: list) -> list:

@@ -205,14 +205,19 @@ class NonregularStructure:
         }
 
 
-def verify_nonregular_structure(g: Graph) -> NonregularStructure:
+def verify_nonregular_structure(
+    g: Graph, seidel: SeidelReport | None = None
+) -> NonregularStructure:
     """Check the forced adjacency spectrum of a connected non-regular graph
     whose switching class is a non-trivial regular two-graph.
 
     With Seidel spectrum rho_i^(m_i) and theta_i = (-1 - rho_i)/2, the
     adjacency characteristic polynomial must factor as
     (x^2 - alpha x - beta) * (x - theta0)^(m0-1) * (x - theta1)^(m1-1)
-    and carry exactly four distinct eigenvalues.
+    and carry exactly four distinct eigenvalues.  seidel is the Seidel
+    report of a graph already shown to be switching-equivalent to g (the
+    Seidel spectrum is a switching invariant); by default it is computed
+    from g.
     """
     d = degree_vector(g)
     if len(set(d)) == 1:
@@ -221,7 +226,7 @@ def verify_nonregular_structure(g: Graph) -> NonregularStructure:
         raise ValueError(
             "disconnected input: isolated-vertex plus strongly-regular branch applies"
         )
-    rep = seidel_report(g)
+    rep = seidel if seidel is not None else seidel_report(g)
     if not rep.regular_two_graph or rep.spectrum is None or len(rep.spectrum) != 2:
         raise ValueError("Seidel spectrum is not two integral eigenvalues")
     (rho0, m0), (rho1, m1) = rep.spectrum

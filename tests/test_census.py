@@ -1,5 +1,9 @@
+import random
 from fractions import Fraction
+from math import comb, prod
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mainspectra import (
@@ -7,6 +11,7 @@ from mainspectra import (
     Convention,
     bundled_reference_rows,
     census_table,
+    char_poly,
     classify_member,
     compare_to_reference,
     complete,
@@ -16,8 +21,18 @@ from mainspectra import (
     relabel,
     switch,
     symplectic_graph,
+    verify_switching_invariance_exhaustive,
 )
-from mainspectra.census import parse_valencies, valencies_str
+from mainspectra.census import (
+    BLOCK,
+    _BlockKernel,
+    _census_key,
+    _power_sum_moduli,
+    _power_sum_targets,
+    parse_valencies,
+    valencies_str,
+)
+from mainspectra.seidel import seidel_matrix, switch_mask
 
 
 def test_enumerate_k2():
@@ -180,16 +195,188 @@ def test_compare_self_roundtrip():
 
 def test_quadratic_divides_member_char_poly():
     # x^2 - 8x + 9 divides the characteristic polynomial of any (8, -9) member
-    from mainspectra import char_poly, poly_divides
-    from mainspectra.census import _classify_rows, _member_rows
-    from mainspectra.seidel import switch_mask
+    from mainspectra import poly_divides
 
     base = symplectic_graph(2)
     for sub in range(1 << 15):
-        key = _classify_rows(_member_rows(base.rows, 16, sub << 1), 16)
+        member = switch_mask(base, sub << 1)
+        key = classify_member(member)
         if key[0] == "nonregular" and key[2] == -9:
-            member = switch_mask(base, sub << 1)
             ok, quo = poly_divides((9, -8, 1), char_poly(member.adjacency_matrix()))
             assert ok and len(quo) == 15
             return
     raise AssertionError("no (8, -9) member found")
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the single-graph oracle
+
+
+def _kernel_keys(base, convention):
+    """Per-subset (key or None when the member has no two-walk parameters)
+    from the batched kernel, over the whole class."""
+    shift = 1 if Convention(convention) is Convention.UP_TO_COMPLEMENT else 0
+    kernel = _BlockKernel(np.array(base.adjacency_matrix(), dtype=float), shift)
+    out = {}
+    for subs, adj in kernel.blocks(0, 1 << (base.n - shift)):
+        keys, no_two_walk = kernel.keys(adj)
+        for sub, row, bad in zip(subs.tolist(), keys.tolist(), no_two_walk.tolist()):
+            out[sub] = None if bad else _census_key(row)
+    return out
+
+
+def _oracle_keys(base, convention):
+    out = {}
+    for sub, (_, member) in enumerate(enumerate_switching_class(base, convention)):
+        try:
+            out[sub] = classify_member(member)
+        except ClassificationError:
+            out[sub] = None
+    return out
+
+
+def _rows_of(table):
+    return {
+        (r.kind, r.alpha, r.beta, r.valencies, r.connected): (r.count, r.representative_subset)
+        for r in table.rows
+    }
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_batched_keys_match_oracle_on_small_bases(all_n_le_7, convention):
+    for base in all_n_le_7:
+        oracle = _oracle_keys(base, convention)
+        assert _kernel_keys(base, convention) == oracle
+        bad = [sub for sub, key in oracle.items() if key is None]
+        if bad:
+            with pytest.raises(ClassificationError, match=rf"at subset {bad[0]} "):
+                census_table(base, convention, verify=False)
+            continue
+        expected = {}
+        for sub, key in oracle.items():
+            count, rep = expected.get(key, (0, sub))
+            expected[key] = (count + 1, rep)
+        assert _rows_of(census_table(base, convention, verify=False)) == expected
+        checked = verify_switching_invariance_exhaustive(base, convention)
+        assert checked == len(oracle)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_batched_keys_match_oracle_on_sp4_chunks(convention):
+    base = symplectic_graph(2)
+    shift = 1 if convention is Convention.UP_TO_COMPLEMENT else 0
+    kernel = _BlockKernel(np.array(base.adjacency_matrix(), dtype=float), shift)
+    rng = random.Random(20160830)
+    for start in rng.sample(range((1 << (16 - shift)) - BLOCK), 6):
+        for subs, adj in kernel.blocks(start, start + BLOCK):
+            keys, no_two_walk = kernel.keys(adj)
+            assert not no_two_walk.any()
+            for sub, row in zip(subs.tolist(), keys.tolist()):
+                member = switch_mask(base, sub << shift)
+                assert _census_key(row) == classify_member(member)
+
+
+def test_census_workers_byte_identical_and_verified():
+    results = Path(__file__).resolve().parent.parent / "results"
+    base = symplectic_graph(2)
+    expected = (results / "census_up_to_complement.csv").read_text()
+    for workers in (1, 2, 4):
+        table = census_table(base, workers=workers)
+        assert table.to_csv() == expected, f"CSV differs with {workers} workers"
+        assert table.verification == {
+            "seidel_members_checked": 1 << 15,
+            "structure_checks": "ran",
+            "structure_skip_reason": None,
+        }
+    table = census_table(base, Convention.ALL_SUBSETS, workers=2)
+    assert table.to_csv() == (results / "census_all_subsets.csv").read_text()
+    assert table.verification["seidel_members_checked"] == 1 << 16
+    assert "verification" in table.to_json()
+
+
+@pytest.mark.parametrize(
+    "base, reason",
+    [
+        (complete(1), "base is not a regular two-graph"),
+        # C5 plus an isolated vertex: Seidel eigenvalues +-sqrt(5)
+        (
+            graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+            "Seidel spectrum is not two integral eigenvalues",
+        ),
+        (complete(4), "trivial regular two-graph"),
+    ],
+)
+def test_verification_reports_skipped_structure_checks(base, reason):
+    record = census_table(base).verification
+    assert record["structure_checks"] == "skipped"
+    assert record["structure_skip_reason"].startswith(reason)
+    assert record["seidel_members_checked"] == 1 << (base.n - 1)
+    record = census_table(base, verify=False).verification
+    assert record == {
+        "seidel_members_checked": 0,
+        "structure_checks": "skipped",
+        "structure_skip_reason": "verify=False",
+    }
+
+
+def _corrupt(monkeypatch, subset):
+    """Flip edge {0, 1} in the member with the given subset index."""
+    blocks = _BlockKernel.blocks
+
+    def corrupted(self, start, stop):
+        for subs, adj in blocks(self, start, stop):
+            hit = (subs == subset).nonzero()[0]
+            if hit.size:
+                i = hit[0]
+                adj[i, 0, 1] = adj[i, 1, 0] = 1 - adj[i, 0, 1]
+            yield subs, adj
+
+    monkeypatch.setattr(_BlockKernel, "blocks", corrupted)
+
+
+def test_corrupted_member_is_named(monkeypatch):
+    _corrupt(monkeypatch, 777)
+    base = symplectic_graph(2)
+    with pytest.raises(ClassificationError, match=r"at subset 777 "):
+        census_table(base)
+    with pytest.raises(ClassificationError, match=r"at subset 777$"):
+        verify_switching_invariance_exhaustive(base)
+
+
+def test_corrupted_member_caught_by_power_sums(monkeypatch):
+    # K4 minus an edge still has two-walk parameters (1, 4), so only the
+    # Seidel check can see that it is not a switch of K4.
+    _corrupt(monkeypatch, 0)
+    assert classify_member(graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    with pytest.raises(ClassificationError, match=r"Seidel power sums changed .* subset 0$"):
+        census_table(complete(4))
+
+
+def test_power_sum_moduli():
+    for n in range(1, 17):
+        assert _power_sum_moduli(n) == ()
+    for n in range(17, 25):
+        moduli = _power_sum_moduli(n)
+        assert all(m < 1 << 24 for m in moduli)
+        assert prod(moduli) > 2 * n * n * (n - 1) ** (n - 2)
+        assert prod(moduli[:-1]) <= 2 * n * n * (n - 1) ** (n - 2)
+    assert len(_power_sum_moduli(24)) == 5
+    with pytest.raises(ValueError):
+        _power_sum_moduli(30)
+
+
+def test_n17_census_takes_the_modular_route(monkeypatch):
+    base = complete(17)
+    # S = I - J has eigenvalue -16, so p_17 = 16 - 2^68 does not fit int64.
+    targets = _power_sum_targets(char_poly(seidel_matrix(base)))
+    assert len(targets) == 3 and all(modulus for modulus, _ in targets)
+    table = census_table(base)
+    assert table.verification["seidel_members_checked"] == 1 << 16
+    # switching K17 by a set U leaves K_|U| + K_(17-|U|); U or its complement
+    # avoids vertex 0, so a split a + (17 - a) occurs comb(17, a) times
+    counts = {r.valencies: r.count for r in table.rows}
+    for a in range(1, 9):
+        assert counts[((a - 1, a), (16 - a, 17 - a))] == comb(17, a)
+    _corrupt(monkeypatch, 5)
+    with pytest.raises(ClassificationError, match=r"Seidel power sums changed .* subset 5$"):
+        verify_switching_invariance_exhaustive(base)

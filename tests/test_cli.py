@@ -137,5 +137,53 @@ def test_census_audit_file(capsys, tmp_path):
 
 
 def test_workers_validation():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["census", "--workers", "0"])
+    assert exc.value.code == 2
+
+
+def test_census_json_reports_verification(capsys, tmp_path):
+    base = tmp_path / "base.g6"
+    base.write_text("C~\n")  # K4
+    code = main(["census", "--base", str(base), "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rec["verification"] == {
+        "seidel_members_checked": 8,
+        "structure_checks": "skipped",
+        "structure_skip_reason": "trivial regular two-graph (a simple Seidel eigenvalue)",
+    }
+
+
+def _one_line_error(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--r", "0"], "need r >= 1"),
+        (["census", "--r", "3"], "n=64 > 24"),
+        (["census", "--base", "/nonexistent/base.g6"], "No such file"),
+    ],
+)
+def test_census_bad_input_exits_2(capsys, argv, message):
+    assert message in _one_line_error(capsys, argv, 2)
+
+
+def test_census_malformed_base_exits_2(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    assert "graph6" in _one_line_error(capsys, ["census", "--base", str(empty)], 2)
+
+
+def test_census_contradiction_exits_3(capsys, tmp_path):
+    base = tmp_path / "p5.g6"
+    base.write_text("DhC\n")  # the 5-path: three main eigenvalues
+    err = _one_line_error(capsys, ["census", "--base", str(base)], 3)
+    assert "without two-walk parameters" in err

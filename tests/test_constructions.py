@@ -239,16 +239,17 @@ def is_connected_without(g, a, b):
 
 def test_splice_two_census_members():
     # two non-isomorphic (8, -9) members splice into an (8, -9) graph on 32 vertices
-    from mainspectra.census import _classify_rows, _member_rows
+    from mainspectra.census import classify_member
     from mainspectra.constructions import _without_edge
     from mainspectra.seidel import switch_mask
 
     base = symplectic_graph(2)
     wanted = {((3, 1), (5, 3), (7, 12)): None, ((5, 6), (7, 9), (9, 1)): None}
     for sub in range(1 << 15):
-        key = _classify_rows(_member_rows(base.rows, 16, sub << 1), 16)
+        member = switch_mask(base, sub << 1)
+        key = classify_member(member)
         if key[0] == "nonregular" and key[2] == -9 and wanted.get(key[3], 0) is None:
-            wanted[key[3]] = switch_mask(base, sub << 1)
+            wanted[key[3]] = member
             if all(v is not None for v in wanted.values()):
                 break
     g, h = wanted.values()

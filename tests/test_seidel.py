@@ -130,6 +130,8 @@ def test_verify_nonregular_structure_census_member():
     assert {verdict.theta0, verdict.theta1} == {-2, 2}
     assert verdict.params.alpha == 8 and verdict.params.beta == 15
     assert verdict.distinct_adjacency_count == 4
+    # the base's Seidel report stands in for the member's: same verdict
+    assert verify_nonregular_structure(member, seidel_report(base)) == verdict
 
 
 def test_verify_nonregular_structure_rejections():
