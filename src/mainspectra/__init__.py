@@ -60,7 +60,6 @@ from .linalg import (
     eigenvalues_float,
     poly_divides,
     rank_exact,
-    solve_in_span,
     squarefree_part,
 )
 from .seidel import (

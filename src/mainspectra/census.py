@@ -26,7 +26,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .graph6 import write_graph6
-from .graphs import Graph, induced_subgraph, is_connected
+from .graphs import Graph, degree_vector, induced_subgraph, is_connected
 from .linalg import char_poly
 from .seidel import (
     seidel_matrix,
@@ -35,7 +35,7 @@ from .seidel import (
     switch_mask,
     verify_nonregular_structure,
 )
-from .spectrum import QuadraticPair
+from .spectrum import QuadraticPair, two_walk_params
 
 MAX_CENSUS_VERTICES = 24
 # Members per kernel pass.  Larger blocks buy little speed at n=16 and cost
@@ -78,24 +78,18 @@ def classify_member(g: Graph) -> Key:
     valency multiset, and connectivity.
 
     The single-graph reference for the batched kernel (`_BlockKernel.keys`)."""
-    n = g.n
-    degs = [r.bit_count() for r in g.rows]
+    degs = degree_vector(g)
     connected = is_connected(g)
     valencies = tuple(sorted(Counter(degs).items()))
     if len(valencies) == 1:
         return ("regular", None, None, valencies, connected)
-    ad = [sum(degs[u] for u in g.neighbors(v)) for v in range(n)]
-    j = next(v for v in range(n) if degs[v] != degs[0])
-    p = ad[0] - ad[j]
-    q = degs[0] - degs[j]
-    bn = ad[0] * q - p * degs[0]
-    for v in range(n):
-        if q * ad[v] != p * degs[v] + bn:
-            raise ClassificationError(
-                "non-regular member without two-walk parameters: "
-                f"degrees {sorted(set(degs))}"
-            )
-    return ("nonregular", Fraction(p, q), Fraction(bn, q), valencies, connected)
+    tw = two_walk_params(g)
+    if tw is None:
+        raise ClassificationError(
+            "non-regular member without two-walk parameters: "
+            f"degrees {sorted(set(degs))}"
+        )
+    return ("nonregular", tw.alpha, tw.beta, valencies, connected)
 
 
 # ---------------------------------------------------------------------------

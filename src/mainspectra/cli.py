@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .census import (
     ClassificationError,
@@ -42,29 +41,6 @@ from .seidel import seidel_report
 from .spectrum import analyze, two_walk_params
 
 
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "json"
-    inputs: list = field(default_factory=list)
-    with_seidel: bool = False
-    with_equitable: bool = False
-    input_format: str = "graph6"
-    recipe: str | None = None
-    lam: int | None = None
-    alpha: int | None = None
-    beta: int | None = None
-    r: int = 2
-    component: bool = False
-    edge: tuple[int, int] | None = None
-    k: int = 1
-    base: str | None = None
-    convention: Convention = Convention.UP_TO_COMPLEMENT
-    reference: str | None = None
-    audit: str | None = None
-    workers: int = 1
-
-
 def _read_lines(inputs: list) -> list[str]:
     if not inputs or inputs == ["-"]:
         return sys.stdin.read().splitlines()
@@ -81,23 +57,23 @@ def _parse_input_graph(line: str, input_format: str) -> Graph:
     return parse_graph6(line)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     failures = 0
     out_csv_header = False
-    for lineno, line in enumerate(_read_lines(cfg.inputs), start=1):
+    for lineno, line in enumerate(_read_lines(args.inputs), start=1):
         if not line.strip():
             continue
         try:
-            g = _parse_input_graph(line.strip(), cfg.input_format)
+            g = _parse_input_graph(line.strip(), args.input_format)
         except (Graph6Error, ValueError) as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             failures += 1
             continue
         report = analyze(g)
         record = report.to_json()
-        if cfg.with_seidel:
+        if args.seidel:
             record["seidel"] = seidel_report(g).to_json()
-        if cfg.with_equitable:
+        if args.equitable:
             blocks = refine_to_equitable(g, valency_partition(g))
             q = quotient_matrix(g, blocks)
             record["equitable"] = {
@@ -106,7 +82,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 "quotient": q.to_json(),
                 "main_bound": main_bound(g, blocks),
             }
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             if not out_csv_header:
                 print("n,edges,connected,regular,main_count,alpha,beta,harmonic_delta")
                 out_csv_header = True
@@ -121,30 +97,40 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _construct_graph(cfg: RunConfig):
-    recipe = cfg.recipe
+# The parameters each recipe reads; those left None are missing (main
+# rejects them), and they are the provenance record's "params".
+RECIPE_PARAMS = {
+    "t-lambda": ("lam",),
+    "cone": (),
+    "biregular": ("alpha", "beta"),
+    "boundary3": ("alpha",),
+    "symplectic": ("r", "component"),
+    "splice-chain": ("edge", "k"),
+}
+
+
+def _input_graph(args: argparse.Namespace) -> Graph:
+    lines = [ln for ln in _read_lines(args.inputs) if ln.strip()]
+    if not lines:
+        raise ValueError(f"{args.recipe} needs an input graph (graph6 line)")
+    return _parse_input_graph(lines[0].strip(), args.input_format)
+
+
+def _construct_graph(args: argparse.Namespace):
+    recipe = args.recipe
     meta: dict = {}
     if recipe == "t-lambda":
-        g = t_lambda_tree(cfg.lam)
+        g = t_lambda_tree(args.lam)
     elif recipe == "cone":
-        lines = [ln for ln in _read_lines(cfg.inputs) if ln.strip()]
-        if not lines:
-            raise ValueError("cone needs an input graph (graph6 line)")
-        g = cone_over_regular(_parse_input_graph(lines[0].strip(), cfg.input_format))
+        g = cone_over_regular(_input_graph(args))
     elif recipe == "biregular":
-        g = equitable_biregular_from(cfg.alpha, cfg.beta)
+        g = equitable_biregular_from(args.alpha, args.beta)
     elif recipe == "boundary3":
-        g = three_valenced_boundary(cfg.alpha)
+        g = three_valenced_boundary(args.alpha)
     elif recipe == "symplectic":
-        g = sp_component(cfg.r) if cfg.component else symplectic_graph(cfg.r)
+        g = sp_component(args.r) if args.component else symplectic_graph(args.r)
     elif recipe == "splice-chain":
-        lines = [ln for ln in _read_lines(cfg.inputs) if ln.strip()]
-        if not lines:
-            raise ValueError("splice-chain needs an input graph (graph6 line)")
-        base = _parse_input_graph(lines[0].strip(), cfg.input_format)
-        if cfg.edge is None:
-            raise ValueError("splice-chain needs --edge U,V")
-        res = splice_chain(base, cfg.edge, cfg.k)
+        res = splice_chain(_input_graph(args), args.edge, args.k)
         g = res.graph
         meta = res.to_json()
     else:
@@ -152,82 +138,73 @@ def _construct_graph(cfg: RunConfig):
     return g, meta
 
 
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(args: argparse.Namespace) -> int:
     try:
-        g, meta = _construct_graph(cfg)
+        g, meta = _construct_graph(args)
     except ValueError as exc:
-        record = {"recipe": cfg.recipe, "error": str(exc)}
+        record = {"recipe": args.recipe, "error": str(exc)}
         if (
-            cfg.recipe == "biregular"
-            and cfg.alpha is not None
-            and cfg.alpha >= 0
-            and cfg.alpha * cfg.alpha + 4 * cfg.beta == 4
+            args.recipe == "biregular"
+            and args.alpha >= 0
+            and args.alpha * args.alpha + 4 * args.beta == 4
         ):
             record["impossibility_certificate"] = boundary_impossibility(
-                cfg.alpha, cfg.beta
+                args.alpha, args.beta
             ).to_json()
         print(json.dumps(record), file=sys.stderr)
         return 1
     tw = two_walk_params(g)
-    relevant = {
-        "t-lambda": ("lam",),
-        "cone": (),
-        "biregular": ("alpha", "beta"),
-        "boundary3": ("alpha",),
-        "symplectic": ("r", "component"),
-        "splice-chain": ("edge", "k"),
-    }[cfg.recipe]
-    params = {
-        "lam": cfg.lam,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "r": cfg.r,
-        "component": cfg.component,
-        "edge": list(cfg.edge) if cfg.edge else None,
-        "k": cfg.k,
-    }
     provenance = {
-        "recipe": cfg.recipe,
-        "params": {k: params[k] for k in relevant},
+        "recipe": args.recipe,
+        "params": {name: getattr(args, name) for name in RECIPE_PARAMS[args.recipe]},
         "graph6": write_graph6(g),
         "n": g.n,
         "valencies": sorted(set(degree_vector(g))),
         "two_walk": tw.to_json() if tw else None,
         "metadata": meta,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps(provenance))
     else:
         print(provenance["graph6"])
     return 0
 
 
-def cmd_census(cfg: RunConfig) -> int:
-    if cfg.base:
-        with open(cfg.base) as fh:
+def cmd_census(args: argparse.Namespace) -> int:
+    if args.base:
+        with open(args.base) as fh:
             base = parse_graph6(fh.readline().strip())
     else:
-        base = symplectic_graph(cfg.r)
-    table = census_table(base, cfg.convention, workers=cfg.workers)
+        base = symplectic_graph(args.r)
+    table = census_table(base, args.convention, workers=args.workers)
     audit = None
-    if cfg.reference == "bundled":
+    if args.reference == "bundled":
         audit = compare_to_reference(table, bundled_reference_rows())
-    elif cfg.reference:
-        with open(cfg.reference) as fh:
+    elif args.reference:
+        with open(args.reference) as fh:
             audit = compare_to_reference(table, load_reference_csv(fh.read()))
-    if cfg.fmt == "json":
+    if args.format == "json":
         record = table.to_json()
         if audit:
             record["audit"] = audit.to_json()
         print(json.dumps(record))
     else:
         sys.stdout.write(table.to_csv())
-        if audit and not cfg.audit:
+        if audit and not args.audit:
             print(json.dumps(audit.to_json(), indent=1), file=sys.stderr)
-    if audit and cfg.audit:
-        with open(cfg.audit, "w") as fh:
+    if audit and args.audit:
+        with open(args.audit, "w") as fh:
             json.dump(audit.to_json(), fh, indent=1)
     return 0
+
+
+def _edge(text: str) -> tuple[int, int]:
+    """argparse type of --edge: two vertex indices written U,V."""
+    try:
+        u, v = text.split(",")
+        return int(u), int(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected U,V, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=int)
     p.add_argument("--r", type=int, default=2, help="symplectic: half the dimension")
     p.add_argument("--component", action="store_true", help="symplectic: drop the zero vector")
-    p.add_argument("--edge", help="splice-chain: U,V endpoints of the splice edge")
+    p.add_argument("--edge", type=_edge, help="splice-chain: U,V endpoints of the splice edge")
     p.add_argument("--k", type=int, default=1, help="splice-chain: family member index")
     p.add_argument("--input-format", choices=["graph6", "edges"], default="graph6")
     p.add_argument("--format", choices=["graph6", "json"], default="graph6")
@@ -276,27 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if name == "format":
-            cfg.fmt = args.format
-        elif name == "convention":
-            cfg.convention = Convention(args.convention)
-        elif name == "edge" and args.edge:
-            u, v = args.edge.split(",")
-            cfg.edge = (int(u), int(v))
-        elif name == "seidel":
-            cfg.with_seidel = args.seidel
-        elif name == "equitable":
-            cfg.with_equitable = args.equitable
-        elif name == "input_format":
-            cfg.input_format = args.input_format
-        elif hasattr(cfg, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 EXIT_BAD_INPUT = 2
 EXIT_CONTRADICTION = 3
 
@@ -308,14 +264,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
-    cfg = config_from_args(args)
+    if args.command == "construct":
+        params = RECIPE_PARAMS[args.recipe]
+        missing = [f"--{name}" for name in params if getattr(args, name) is None]
+        if missing:
+            parser.error(f"construct {args.recipe} needs {' and '.join(missing)}")
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except ClassificationError as exc:
-        print(f"mainspectra {cfg.command}: {exc}", file=sys.stderr)
+        print(f"mainspectra {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
     except (ValueError, OSError) as exc:  # Graph6Error is a ValueError
-        print(f"mainspectra {cfg.command}: {exc}", file=sys.stderr)
+        print(f"mainspectra {args.command}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

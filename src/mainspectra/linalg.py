@@ -1,8 +1,8 @@
 """Exact integer/rational linear algebra plus a float cross-check channel.
 
-Every classification decision in this package (ranks, span membership,
-characteristic polynomials, divisibility) runs through the exact routines
-here; floating-point eigenvalues exist only for reports and cross-checks.
+Every classification decision in this package (ranks, characteristic
+polynomials, integer roots, divisibility) runs in exact arithmetic;
+floating-point eigenvalues exist only for reports and cross-checks.
 
 Polynomials are tuples of arbitrary-precision coefficients in ascending
 order of degree, trimmed of trailing zeros; () is the zero polynomial.
@@ -64,51 +64,6 @@ def rank_exact(mat) -> int:
         if rank == nr:
             break
     return rank
-
-
-def solve_in_span(target, basis) -> list[Fraction] | None:
-    """Exact coefficients c with sum(c_i * basis_i) == target, else None.
-
-    Free coefficients (when the basis is dependent) are set to zero; for an
-    independent basis the coefficients are the unique ones.
-    """
-    target = list(target)
-    n = len(target)
-    basis = [list(b) for b in basis]
-    for b in basis:
-        if len(b) != n:
-            raise ValueError("basis vector length mismatch")
-    k = len(basis)
-    if k == 0:
-        return [] if not any(target) else None
-    aug = [
-        [Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(n)
-    ]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for row_idx, c in enumerate(pivots):
-        coeffs[c] = aug[row_idx][k]
-    return coeffs
 
 
 def _object_matrix(mat) -> np.ndarray:
@@ -341,17 +296,18 @@ def _synthetic_div(p: Poly, r: int) -> tuple[Poly, int]:
 
 
 def extract_integer_roots(p, candidates) -> tuple[list[tuple[int, int]], Poly]:
-    """Peel integer roots (from the candidate set) off p with multiplicities.
+    """Peel the integer roots among the candidates off p with multiplicities.
 
-    Returns ((root, multiplicity) pairs sorted descending, residual factor).
-    The residual is (1,) exactly when p splits over the integers within the
-    candidates.
+    candidates are integers, each tested by exact evaluation of p; callers
+    pass a range known to hold every integer root.  Returns ((root,
+    multiplicity) pairs sorted descending, residual factor).  The residual
+    is (1,) exactly when p splits over the integers within the candidates.
     """
     p = poly_trim(p)
     if not p:
         raise ValueError("zero polynomial")
     roots = []
-    for r in sorted({int(round(c)) for c in candidates}, reverse=True):
+    for r in sorted(set(candidates), reverse=True):
         mult = 0
         while len(p) > 1 and poly_eval(p, r) == 0:
             p, rem = _synthetic_div(p, r)

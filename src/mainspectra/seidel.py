@@ -107,12 +107,19 @@ class SeidelReport:
 
 
 def seidel_report(g: Graph) -> SeidelReport:
+    """Exact Seidel characteristic polynomial and what it decides.
+
+    The integer Seidel eigenvalues are found by exact evaluation of the
+    characteristic polynomial over -(n-1)..n-1, which holds every root:
+    |rho| <= n-1, the largest absolute row sum of S.  The float eigenvalues
+    are only reported (float_spectrum); no decision reads them.
+    """
     s = seidel_matrix(g)
     cp = char_poly(s)
     distinct = distinct_root_count(cp)
     floats = np.linalg.eigvalsh(np.array(s, dtype=float)).tolist()
     float_spec = tuple(cluster_floats(sorted(floats)))
-    roots, residual = extract_integer_roots(cp, [r for r, _ in float_spec])
+    roots, residual = extract_integer_roots(cp, range(-(g.n - 1), g.n))
     spectrum = tuple(roots) if poly_trim(residual) == (1,) else None
     rtg = g.n >= 2 and distinct == 2
     if rtg and spectrum is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, degree_vector, is_connected
-from .linalg import eigenvalues_float, solve_in_span
+from .linalg import eigenvalues_float
 
 
 def fraction_to_json(f):
@@ -143,44 +143,52 @@ def walk_matrix(g: Graph) -> list[list[int]]:
 
 
 def main_eigenvalue_count(g: Graph) -> int:
-    """Rank of the walk matrix, found incrementally on the walk vectors."""
-    n = g.n
-    echelon: list[tuple[int, list[Fraction]]] = []
-    vec = [Fraction(1)] * n
-    rank = 0
-    for _ in range(n):
-        red = list(vec)
-        for pivot, basis_vec in echelon:
+    """Rank of the walk matrix, found incrementally on the walk vectors.
+
+    Fraction-free echelon: each new walk vector v is reduced against every
+    basis row b with pivot p as v <- b[p] v - v[p] b, then divided by its
+    content, so every entry stays an integer.  The count stops at the first
+    walk vector that depends on its predecessors.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    vec = [1] * g.n
+    for _ in range(g.n):
+        red = vec
+        for pivot, row in basis:
             f = red[pivot]
             if f:
-                red = [a - f * b for a, b in zip(red, basis_vec)]
+                b = row[pivot]
+                red = [b * x - f * y for x, y in zip(red, row)]
         pivot = next((i for i, x in enumerate(red) if x), None)
         if pivot is None:
             break
-        pv = red[pivot]
-        echelon.append((pivot, [x / pv for x in red]))
-        rank += 1
+        content = math.gcd(*red)
+        basis.append((pivot, [x // content for x in red]))
         vec = _apply_adjacency(g, vec)
-    assert rank >= 1
-    return rank
+    return len(basis)
 
 
 def two_walk_params(g: Graph) -> TwoWalkParams | None:
     """(alpha, beta) with A d = alpha d + beta j, or None (regular or no solution).
 
     For a non-regular graph d and j are independent, so the coefficients are
-    unique when they exist.
+    unique when they exist.  They are decided in integers by the
+    cross-multiplied test q (A d) = p d + b j, anchored at vertex 0 and the
+    first vertex u whose degree differs: q = d_0 - d_u, p = (Ad)_0 - (Ad)_u
+    and b = (Ad)_0 q - p d_0, so alpha = p/q and beta = b/q.
     """
     d = degree_vector(g)
-    if len(set(d)) == 1:
+    u = next((v for v in range(g.n) if d[v] != d[0]), None)
+    if u is None:
         return None
     ad = _apply_adjacency(g, d)
-    sol = solve_in_span(ad, [list(d), [1] * g.n])
-    if sol is None:
+    q = d[0] - d[u]
+    p = ad[0] - ad[u]
+    b = ad[0] * q - p * d[0]
+    if any(q * x != p * y + b for x, y in zip(ad, d)):
         return None
-    alpha, beta = sol
-    assert alpha * alpha + 4 * beta > 0
-    return TwoWalkParams(alpha, beta)
+    assert p * p + 4 * b * q > 0
+    return TwoWalkParams(Fraction(p, q), Fraction(b, q))
 
 
 def main_values(params: TwoWalkParams) -> QuadraticPair:
@@ -220,7 +228,7 @@ def analyze(g: Graph) -> MainSpectrumReport:
     regular = len(set(d)) == 1
     k = main_eigenvalue_count(g)
     tw = two_walk_params(g)
-    assert (tw is not None) == (k == 2), "walk rank and span solve disagree"
+    assert (tw is not None) == (k == 2), "walk rank and two-walk test disagree"
     mv = main_values(tw) if tw is not None else None
     rho = max(eigenvalues_float(g.adjacency_matrix()))
     return MainSpectrumReport(

@@ -187,3 +187,21 @@ def test_census_contradiction_exits_3(capsys, tmp_path):
     base.write_text("DhC\n")  # the 5-path: three main eigenvalues
     err = _one_line_error(capsys, ["census", "--base", str(base)], 3)
     assert "without two-walk parameters" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "t-lambda"],
+        ["construct", "biregular", "--alpha", "3"],
+        ["construct", "biregular", "--beta", "3"],
+        ["construct", "boundary3"],
+        ["construct", "splice-chain", "--edge", "1"],
+        ["construct", "splice-chain", "--edge", "a,b"],
+    ],
+)
+def test_construct_bad_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -13,7 +13,6 @@ from mainspectra import (
     path,
     poly_divides,
     rank_exact,
-    solve_in_span,
     squarefree_part,
 )
 from mainspectra.linalg import (
@@ -79,37 +78,6 @@ def test_rank_invariant_under_permutation_and_transpose(seed):
     shuffled = [[row[c] for c in cols] for row in rows]
     assert rank_exact(shuffled) == r
     assert rank_exact([[m[i][j] for i in range(nr)] for j in range(nc)]) == r
-
-
-# -- span solving ------------------------------------------------------------
-
-
-def test_solve_in_span_star():
-    # K_{1,3}: A d = 3 j, so the coefficients on (d, j) are (0, 3)
-    sol = solve_in_span([3, 3, 3, 3], [[3, 1, 1, 1], [1, 1, 1, 1]])
-    assert sol == [0, 3]
-
-
-def test_solve_in_span_trivial_and_outside():
-    assert solve_in_span([3, 1, 1, 1], [[3, 1, 1, 1], [1, 1, 1, 1]]) == [1, 0]
-    assert solve_in_span([1, 0], [[0, 1]]) is None
-    with pytest.raises(ValueError):
-        solve_in_span([1, 0], [[1, 0, 0]])
-
-
-def test_solve_in_span_rank_characterisation():
-    rng = random.Random(5)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        k = rng.randint(1, 3)
-        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        target = [rng.randint(-3, 3) for _ in range(n)]
-        sol = solve_in_span(target, basis)
-        grew = rank_exact(basis + [target]) == rank_exact(basis) + 1
-        assert (sol is None) == grew
-        if sol is not None:
-            combo = [sum(c * b[i] for c, b in zip(sol, basis)) for i in range(n)]
-            assert combo == [Fraction(t) for t in target]
 
 
 # -- characteristic polynomials ----------------------------------------------

@@ -12,6 +12,7 @@ from mainspectra import (
     graph_from_edges,
     is_strong,
     path,
+    rank_exact,
     seidel_matrix,
     seidel_report,
     srg_params,
@@ -27,24 +28,13 @@ from conftest import graphs
 
 
 def strong_oracle(g):
-    """Solve S^2 = aS + bI + cJ over the rationals by brute least squares
-    on exact equations (numpy ints + sympy-free): set up all n^2 equations
-    and check solvability with Fractions."""
+    """S^2 lies in <S, I, J> iff appending S^2 to S, I, J (each flattened to
+    one row of n^2 exact integers) leaves the rank unchanged."""
     n = g.n
     s = np.array(seidel_matrix(g), dtype=np.int64)
-    s2 = s @ s
-    eye = np.eye(n, dtype=np.int64)
-    ones = np.ones((n, n), dtype=np.int64)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            rows.append([int(s[i, j]), int(eye[i, j]), int(ones[i, j])])
-            rhs.append(int(s2[i, j]))
-    from mainspectra import solve_in_span
-
-    cols = list(map(list, zip(*rows)))
-    return solve_in_span(rhs, cols) is not None
+    rows = [s, np.eye(n, dtype=np.int64), np.ones((n, n), dtype=np.int64)]
+    span = [m.ravel().tolist() for m in rows]
+    return rank_exact(span + [(s @ s).ravel().tolist()]) == rank_exact(span)
 
 
 def test_seidel_matrix_examples():
@@ -80,6 +70,18 @@ def test_seidel_report_symplectic16():
     assert rep.regular_two_graph and rep.strong
     assert rep.spectrum == ((3, 10), (-5, 6))
     assert rep.distinct_seidel_count == 2
+
+
+def test_no_float_feeds_a_decision(monkeypatch):
+    # Float eigenvalues that miss every root change only the reported
+    # float_spectrum: the integer Seidel spectrum, and the census structure
+    # checks it enables, are decided exactly.
+    from mainspectra import census_table
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.zeros(len(m)))
+    assert seidel_report(symplectic_graph(2)).spectrum == ((3, 10), (-5, 6))
+    table = census_table(symplectic_graph(2))
+    assert table.verification["structure_checks"] == "ran"
 
 
 def test_seidel_report_c5():

@@ -59,8 +59,40 @@ def test_main_count_small():
 
 
 def test_main_count_equals_full_rank(connected_n_le_8):
-    for g in connected_n_le_8[:400]:
+    for g in connected_n_le_8:
         assert main_eigenvalue_count(g) == rank_exact(walk_matrix(g))
+
+
+def test_main_count_stops_at_first_dependent_walk(monkeypatch):
+    from mainspectra import spectrum
+
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "256")
+    calls = []
+    apply = spectrum._apply_adjacency
+
+    def counted(g, vec):
+        calls.append(vec)
+        return apply(g, vec)
+
+    monkeypatch.setattr(spectrum, "_apply_adjacency", counted)
+    g = t_lambda_tree(6)
+    assert g.n == 187
+    assert main_eigenvalue_count(g) == 2
+    assert len(calls) <= 2
+
+
+def test_two_walk_params_oracle(all_n_le_7):
+    # Independent of the cross-multiplied test: A d lies in <d, j> iff the
+    # rank of (d, j, A d) stays 2.
+    for g in all_n_le_7:
+        d = list(degree_vector(g))
+        if len(set(d)) == 1:
+            continue
+        ad = [sum(d[u] for u in g.neighbors(v)) for v in range(g.n)]
+        tw = two_walk_params(g)
+        assert (tw is not None) == (rank_exact([d, [1] * g.n, ad]) == 2)
+        if tw is not None:
+            assert [tw.alpha * x + tw.beta for x in d] == ad
 
 
 def test_two_walk_params_examples():
