@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from math import isqrt
 from multiprocessing import get_context
 
 import numpy as np
 
 from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
-from .linalg import char_poly
+from .linalg import char_poly, primes_below
 from .seidel import (
     seidel_matrix,
     seidel_report,
@@ -128,12 +127,12 @@ def _power_sum_moduli(n: int) -> tuple[int, ...]:
     bound = n * n * (n - 1) ** max(n - 2, 0)
     moduli: list[int] = []
     product = 1
-    candidate = 1 << 24
-    while bound >= 2**63 and product <= 2 * bound:
-        candidate -= 1
-        if all(candidate % f for f in range(2, isqrt(candidate) + 1)):
-            moduli.append(candidate)
-            product *= candidate
+    if bound >= 2**63:
+        for q in primes_below(1 << 24):
+            if product > 2 * bound:
+                break
+            moduli.append(q)
+            product *= q
     return tuple(moduli)
 
 

@@ -13,6 +13,9 @@ from .graphs import Graph
 
 HEADER = ">>graph6<<"
 
+# payload character -> its 6 bits, most significant first
+_SIX_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
@@ -86,25 +89,25 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"payload length {len(payload)} != expected {need_chars} for n={n}"
         )
-    bits = 0
-    for ch in payload:
-        val = ord(ch) - 63
-        if val < 0 or val > 63:
-            raise Graph6Error(f"payload byte {ch!r} out of range")
-        bits = (bits << 6) | val
-    total_bits = 6 * need_chars
-    pad = total_bits - need_bits
-    if pad and bits & ((1 << pad) - 1):
+    try:
+        bits = "".join(map(_SIX_BITS.__getitem__, payload))
+    except KeyError:
+        ch = next(ch for ch in payload if ch not in _SIX_BITS)
+        raise Graph6Error(f"payload byte {ch!r} out of range") from None
+    if "1" in bits[need_bits:]:
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
+    # bit pos is pair (row, col) with pos = col (col - 1) / 2 + row, row < col
     rows = [0] * n
-    pos = need_bits
-    for col in range(1, n):
-        for row in range(col):
-            pos -= 1
-            if (bits >> pos) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
+    col, start = 1, 0
+    pos = bits.find("1")
+    while pos >= 0:
+        while pos >= start + col:
+            start += col
+            col += 1
+        row = pos - start
+        rows[row] |= 1 << col
+        rows[col] |= 1 << row
+        pos = bits.find("1", pos + 1)
     return Graph(n, rows, _validate=False)
 
 

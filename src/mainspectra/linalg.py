@@ -11,7 +11,11 @@ order of degree, trimmed of trailing zeros; () is the zero polynomial.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import lru_cache
+from itertools import takewhile
+from operator import mul
 
 import numpy as np
 
@@ -66,52 +70,159 @@ def rank_exact(mat) -> int:
     return rank
 
 
-def _object_matrix(mat) -> np.ndarray:
-    n = len(mat)
-    a = np.empty((n, n), dtype=object)
-    for i, row in enumerate(mat):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        for j, x in enumerate(row):
-            a[i, j] = int(x)
-    return a
+# char_poly's primes lie below this: p^2 < 2^52 keeps a reduced trace times
+# k^-1 exact in float64.
+_PRIME_TOP = 1 << 26
+
+_PRIMES: dict[int, list[int]] = {}
+
+
+def _is_prime(q: int) -> bool:
+    if q < 4:
+        return q >= 2
+    return q % 2 != 0 and all(q % f for f in range(3, math.isqrt(q) + 1, 2))
+
+
+def primes_below(top: int) -> Iterator[int]:
+    """The primes below top, in descending order.
+
+    Found by trial division on first use and memoised per top, so later
+    calls with the same top walk a list.
+    """
+    found = _PRIMES.setdefault(top, [])
+    i = 0
+    while True:
+        if i == len(found):
+            q = found[-1] if found else top
+            while True:
+                q -= 1
+                if q < 2:
+                    return
+                if _is_prime(q):
+                    break
+            found.append(q)
+        yield found[i]
+        i += 1
+
+
+def _coefficient_bound(rows) -> int:
+    """prod(1 + ceil(r_i)) over the Euclidean row norms r_i (see char_poly)."""
+    bound = 1
+    for row in rows:
+        sq = sum(map(mul, row, row))
+        bound *= 2 + math.isqrt(sq - 1) if sq else 1  # ceil(sqrt(sq)) = isqrt(sq - 1) + 1
+    return bound
+
+
+@lru_cache(maxsize=64)
+def _modular_constants(moduli: tuple[int, ...], n: int):
+    """char_poly's per-prime constants: the primes as a column, -k^-1 modulo
+    each for k = 1..n, and the CRT weights of all primes but the last."""
+    p = np.array(moduli, dtype=np.float64).reshape(-1, 1)
+    negated_inverses = np.array(
+        [[q - pow(k, -1, q) for q in moduli] for k in range(1, n + 1)], dtype=np.float64
+    ).reshape(n, len(moduli), 1)
+    product = math.prod(moduli[:-1])
+    weights = [(product // q) * pow(product // q, -1, q) for q in moduli[:-1]]
+    p.setflags(write=False)  # shared by every call with these primes
+    negated_inverses.setflags(write=False)
+    return p, negated_inverses, weights
 
 
 def char_poly(mat) -> Poly:
     """det(xI - M) for an integer square matrix, exact coefficients.
 
-    Faddeev-LeVerrier recurrence; the division by k is always exact over
-    the integers.
+    Faddeev-LeVerrier, M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k
+    from M_0 = 0, c_0 = 1, run modulo several primes p > n at once as one
+    batched float64 matmul per step; k^-1 exists modulo each p.
+
+    Bound: c_k is (-1)^k times the sum of the k x k principal minors of A.
+    By Hadamard's inequality each minor is at most the product of the norms
+    of its rows, so with r_i the Euclidean norm of row i,
+    |c_k| <= e_k(r) <= prod(1 + r_i) <= B = prod(1 + ceil(r_i)).  The
+    coefficients are rebuilt by CRT in the symmetric range modulo the
+    fewest primes whose product exceeds 2B, which makes them unique; one
+    further prime must agree with every coefficient, else AssertionError.
+
+    Exactness: float64 holds every integer below 2^53 exactly.  Each step
+    reduces M_k to M_k - p floor(M_k fl(1/p)); while |M_k| < 2^53 the float
+    quotient is within 2/p of M_k / p, so this product is exact and the
+    residues lie in [-2, p + 2] (c_k alone is reduced exactly into [0, p)).
+    The entries of M_(k-1) + c_(k-1) I then lie in [-2, 2p + 1], and every
+    partial sum of a product row by column is at most w (2p + 1), with w
+    the largest absolute row sum of the A used.  The primes lie below 2^26,
+    so w <= 2^26 keeps these sums below 2^53 with A as given; a larger w is
+    met by reducing A modulo each prime into [0, p), so w <= n (p - 1), and
+    taking the primes below sqrt(2^52 / n).  Traces stay below n (p + 2),
+    and a reduced trace times k^-1 below p^2 < 2^52.
     """
-    n = len(mat)
-    a = _object_matrix(mat)
-    ident = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            ident[i, j] = 1 if i == j else 0
-    m = np.zeros((n, n), dtype=object)
-    c = 1
-    coeffs_desc = [1]
+    rows = [list(map(int, row)) for row in mat]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    width = max((sum(map(abs, row)) for row in rows), default=0)
+    reduced = width > _PRIME_TOP
+    top = math.isqrt((1 << 52) // n) if reduced else _PRIME_TOP
+    bound = 2 * _coefficient_bound(rows)
+    moduli: list[int] = []
+    product = 1
+    for q in takewhile(lambda q: q > n, primes_below(top)):
+        moduli.append(q)
+        if product > bound:  # q is the check prime
+            break
+        product *= q
+    else:
+        raise ValueError(f"too few primes in {n + 1}..{top - 1} for an exact char_poly")
+
+    count = len(moduli)
+    p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
+    if reduced:
+        a = np.array([[[x % q for x in row] for row in rows] for q in moduli], dtype=np.float64)
+    else:
+        a = np.array(rows, dtype=np.float64).reshape(n, n)
+    residues = np.empty((n + 1, count, 1))
+    residues[0] = 1
+    # M_(k-1), M_k and scratch for the float quotient, with diagonal views
+    m, m_next, quotient = buffers = np.zeros((3, count, n, n))
+    diag, diag_next, _ = buffers.reshape(3, count, n * n)[:, :, :: n + 1]
+    p_col = p[:, :, None]
+    p_inv = 1 / p_col
     for k in range(1, n + 1):
-        m = a @ (m + c * ident)
-        t = int(np.trace(m))
-        if t % k:
-            raise AssertionError("inexact trace division in char_poly")
-        c = -(t // k)
-        coeffs_desc.append(c)
-    return tuple(reversed(coeffs_desc))
+        diag += residues[k - 1]
+        np.matmul(a, m, out=m_next)
+        np.multiply(m_next, p_inv, out=quotient)
+        np.floor(quotient, out=quotient)
+        np.multiply(quotient, p_col, out=quotient)
+        np.subtract(m_next, quotient, out=m_next)
+        trace = diag_next.sum(axis=1, keepdims=True)
+        np.remainder(trace, p, out=trace)
+        np.multiply(trace, negated_inverses[k - 1], out=trace)
+        np.remainder(trace, p, out=residues[k])
+        m, m_next, diag, diag_next = m_next, m, diag_next, diag
+    residues = residues.reshape(n + 1, count)
+
+    check = moduli[-1]
+    coeffs = []
+    for res in residues.astype(np.int64).tolist():
+        x = sum(map(mul, weights, res)) % product
+        if x > product // 2:
+            x -= product
+        if x % check != res[-1]:
+            raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
+        coeffs.append(x)
+    return tuple(reversed(coeffs))
 
 
 def eigenvalues_float(mat) -> list[float]:
     """Sorted float eigenvalues of a symmetric integer matrix (cross-check only)."""
     n = len(mat)
-    for i in range(n):
-        if len(mat[i]) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise ValueError(f"matrix not symmetric at ({i}, {j})")
-    return sorted(np.linalg.eigvalsh(np.array(mat, dtype=float)).tolist())
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
+    a = np.array(mat, dtype=float).reshape(n, n)
+    if (a != a.T).any():
+        i, j = np.argwhere(np.triu(a != a.T))[0].tolist()
+        raise ValueError(f"matrix not symmetric at ({i}, {j})")
+    return sorted(np.linalg.eigvalsh(a).tolist())
 
 
 def cluster_floats(values, tol: float = 1e-6) -> list[tuple[float, int]]:
@@ -207,7 +318,7 @@ def poly_divides(p, q) -> tuple[bool, Poly | None]:
     if rem:
         return False, None
     if all(isinstance(c, Fraction) and c.denominator == 1 for c in quo):
-        quo = tuple(int(c) for c in quo)
+        quo = tuple([int(c) for c in quo])
     return True, quo
 
 
@@ -258,7 +369,7 @@ def poly_gcd(p, q) -> Poly:
         a, b = b, list(poly_primitive(r))
     a = poly_primitive(a)
     if a and a[-1] < 0:
-        a = tuple(-c for c in a)
+        a = tuple([-c for c in a])
     return tuple(a)
 
 
@@ -275,7 +386,7 @@ def squarefree_part(p) -> Poly:
         raise AssertionError("gcd does not divide its polynomial")
     quo = poly_primitive([int(c) if isinstance(c, Fraction) else c for c in quo])
     if quo and quo[-1] < 0:
-        quo = tuple(-c for c in quo)
+        quo = tuple([-c for c in quo])
     return quo
 
 

@@ -363,6 +363,11 @@ def test_power_sum_moduli():
     assert len(_power_sum_moduli(24)) == 5
     with pytest.raises(ValueError):
         _power_sum_moduli(30)
+    # the largest primes below 2^24, as chosen before they came from linalg.primes_below
+    primes = (16777213, 16777199, 16777183, 16777153, 16777141)
+    counts = {16: 0, 17: 3, 18: 4, 19: 4, 20: 4, 21: 4, 22: 5, 23: 5, 24: 5}
+    for n, count in counts.items():
+        assert _power_sum_moduli(n) == primes[:count]
 
 
 def test_n17_census_takes_the_modular_route(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -112,3 +114,28 @@ def test_size_field_boundary(monkeypatch):
     s63 = write_graph6(g63)
     assert s63.startswith("~") and parse_graph6(s63) == g63
     assert nx.from_graph6_bytes(s63.encode()).number_of_edges() == 1
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 658])
+def test_roundtrip_large(n, monkeypatch):
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "1024")
+    rng = random.Random(n)
+    pairs = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
+    g = graph_from_edges(n, pairs)
+    s = write_graph6(g)
+    assert s.startswith("~") == (n > 62)
+    assert parse_graph6(s) == g
+    assert write_graph6(parse_graph6(s)) == s
+    ref = nx.from_graph6_bytes(s.encode())
+    assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(
+        tuple(sorted(e)) for e in g.edges()
+    )
+
+
+def test_nonzero_padding_rejected_extended_size(monkeypatch):
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "80")
+    s = write_graph6(complete(63))  # 1953 bits in 326 groups: 3 padding bits
+    assert s.startswith("~")
+    tampered = s[:-1] + chr(((ord(s[-1]) - 63) | 1) + 63)
+    with pytest.raises(Graph6Error, match="nonzero padding bits"):
+        parse_graph6(tampered)
