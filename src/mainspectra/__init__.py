@@ -29,6 +29,7 @@ from .constructions import (
 )
 from .equitable import (
     QuotientMatrix,
+    equitable_records,
     is_equitable,
     main_bound,
     quotient_matrix,
@@ -56,6 +57,7 @@ from .graphs import (
 )
 from .linalg import (
     char_poly,
+    char_polys,
     distinct_root_count,
     eigenvalues_float,
     poly_divides,
@@ -67,6 +69,7 @@ from .seidel import (
     is_strong,
     seidel_matrix,
     seidel_report,
+    seidel_reports,
     srg_params,
     switch,
     verify_nonregular_structure,

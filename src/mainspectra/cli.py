@@ -6,7 +6,8 @@ live in the test suite only.
 
 Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
-errors, unreadable or malformed files, out-of-range parameters); 3 when a
+errors, unreadable or malformed files, out-of-range parameters, analyze
+--format csv with --seidel or --equitable); 3 when a
 census member contradicts the structure its switching class forces.
 Errors are reported as one line on stderr, without a traceback.
 """
@@ -34,10 +35,10 @@ from .constructions import (
     sp_component,
     three_valenced_boundary,
 )
-from .equitable import is_equitable, main_bound, quotient_matrix, refine_to_equitable, valency_partition
+from .equitable import equitable_records
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import Graph, degree_vector, graph_from_adjacency_text, t_lambda_tree
-from .seidel import seidel_report
+from .seidel import seidel_reports
 from .spectrum import analyze, two_walk_params
 
 
@@ -57,43 +58,55 @@ def _parse_input_graph(line: str, input_format: str) -> Graph:
     return parse_graph6(line)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    failures = 0
-    out_csv_header = False
-    for lineno, line in enumerate(_read_lines(args.inputs), start=1):
-        if not line.strip():
-            continue
-        try:
-            g = _parse_input_graph(line.strip(), args.input_format)
-        except (Graph6Error, ValueError) as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        report = analyze(g)
-        record = report.to_json()
-        if args.seidel:
-            record["seidel"] = seidel_report(g).to_json()
-        if args.equitable:
-            blocks = refine_to_equitable(g, valency_partition(g))
-            q = quotient_matrix(g, blocks)
-            record["equitable"] = {
-                "valency_partition_equitable": is_equitable(g, valency_partition(g)),
-                "refined_blocks": [list(b) for b in blocks],
-                "quotient": q.to_json(),
-                "main_bound": main_bound(g, blocks),
-            }
+# analyze parses, analyses and prints this many graphs at a time, so the
+# batched exact kernels see whole chunks while memory stays flat.
+ANALYZE_CHUNK = 64
+
+
+def _print_records(graphs: list, args: argparse.Namespace, header: bool) -> None:
+    reports = [analyze(g) for g in graphs]
+    seidel = seidel_reports(graphs) if args.seidel else None
+    equitable = equitable_records(graphs) if args.equitable else None
+    if args.format == "csv" and header:
+        print("n,edges,connected,regular,main_count,alpha,beta,harmonic_delta")
+    for i, report in enumerate(reports):
         if args.format == "csv":
-            if not out_csv_header:
-                print("n,edges,connected,regular,main_count,alpha,beta,harmonic_delta")
-                out_csv_header = True
             tw = report.two_walk
             print(
                 f"{report.n},{report.edges},{report.connected},{report.regular},"
                 f"{report.main_count},{tw.alpha if tw else ''},{tw.beta if tw else ''},"
                 f"{report.harmonic_delta if report.harmonic_delta is not None else ''}"
             )
-        else:
-            print(json.dumps(record))
+            continue
+        record = report.to_json()
+        if seidel:
+            record["seidel"] = seidel[i].to_json()
+        if equitable:
+            record["equitable"] = equitable[i]
+        print(json.dumps(record))
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.format == "csv" and (args.seidel or args.equitable):
+        raise ValueError("--format csv has no columns for --seidel or --equitable")
+    failures = 0
+    header = True
+    chunk: list[Graph] = []
+    for lineno, line in enumerate(_read_lines(args.inputs), start=1):
+        if not line.strip():
+            continue
+        try:
+            chunk.append(_parse_input_graph(line.strip(), args.input_format))
+        except (Graph6Error, ValueError) as exc:
+            print(f"line {lineno}: {exc}", file=sys.stderr)
+            failures += 1
+            continue
+        if len(chunk) == ANALYZE_CHUNK:
+            _print_records(chunk, args, header)
+            header = False
+            chunk = []
+    if chunk:
+        _print_records(chunk, args, header)
     return 1 if failures else 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, degree_vector
-from .linalg import char_poly, distinct_root_count
+from .linalg import char_polys, distinct_root_count
 from .spectrum import fraction_to_json
 
 Partition = tuple
@@ -129,13 +129,45 @@ def quotient_matrix(g: Graph, blocks) -> QuotientMatrix:
     return QuotientMatrix(tuple(entries), tuple(len(b) for b in blocks))
 
 
+def _quotient_bounds(pairs) -> list[tuple[QuotientMatrix, int]]:
+    """Quotient matrix and distinct quotient eigenvalue count for each
+    (graph, equitable partition) pair; one char_polys call for all."""
+    quotients = []
+    for g, blocks in pairs:
+        if not is_equitable(g, blocks):
+            raise ValueError("partition is not equitable")
+        quotients.append(quotient_matrix(g, blocks))
+    polys = char_polys([q.int_matrix() for q in quotients])
+    return [(q, distinct_root_count(cp)) for q, cp in zip(quotients, polys)]
+
+
 def main_bound(g: Graph, blocks) -> int:
     """Distinct quotient eigenvalues of an equitable partition.
 
     The number of main eigenvalues of g never exceeds this.
     """
-    blocks = _check_partition(g, blocks)
-    if not is_equitable(g, blocks):
-        raise ValueError("partition is not equitable")
-    q = quotient_matrix(g, blocks)
-    return distinct_root_count(char_poly(q.int_matrix()))
+    return _quotient_bounds([(g, blocks)])[0][1]
+
+
+def equitable_records(graphs) -> list[dict]:
+    """The analyze CLI's equitable record of each graph: the valency
+    partition refined to equitable, its quotient and the main bound.
+
+    The valency partition is equitable exactly when refinement leaves it
+    unchanged: the first round splits a block iff two of its vertices
+    differ in neighbour counts.
+    """
+    graphs = list(graphs)
+    valency = [valency_partition(g) for g in graphs]
+    refined = [refine_to_equitable(g, blocks) for g, blocks in zip(graphs, valency)]
+    return [
+        {
+            "valency_partition_equitable": blocks == start,
+            "refined_blocks": [list(b) for b in blocks],
+            "quotient": q.to_json(),
+            "main_bound": bound,
+        }
+        for start, blocks, (q, bound) in zip(
+            valency, refined, _quotient_bounds(zip(graphs, refined))
+        )
+    ]

@@ -9,12 +9,18 @@ padding bits are required.
 
 from __future__ import annotations
 
+from base64 import b64encode
+
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
 
 # payload character -> its 6 bits, most significant first
 _SIX_BITS = {chr(v + 63): format(v, "06b") for v in range(64)}
+# base64 digit -> the payload character of the same 6-bit value
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 class Graph6Error(ValueError):
@@ -54,24 +60,20 @@ def _decode_size(text: str) -> tuple[int, int]:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph; parse_graph6(write_graph6(g)) == g."""
+    """Encode a graph; parse_graph6(write_graph6(g)) == g.
+
+    The payload is base64 of the bit string in another alphabet: both map
+    each 6-bit group, big-endian, to one character.
+    """
     n = g.n
-    out = [_encode_size(n)]
-    acc = 0
-    nbits = 0
-    for col in range(1, n):
-        colbits = g.rows[col]
-        for row in range(col):
-            acc = (acc << 1) | ((colbits >> row) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(chr(acc + 63))
-    return "".join(out)
+    # column col holds bits 0..col-1 of rows[col], lowest row first
+    bits = "".join(
+        [format(g.rows[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n)]
+    )
+    chars = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole 3-byte base64 blocks
+    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return _encode_size(n) + b64encode(packed).translate(_FROM_BASE64)[:chars].decode()
 
 
 def parse_graph6(text: str) -> Graph:

@@ -14,7 +14,6 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import takewhile
 from operator import mul
 
 import numpy as np
@@ -116,7 +115,7 @@ def _coefficient_bound(rows) -> int:
 
 @lru_cache(maxsize=64)
 def _modular_constants(moduli: tuple[int, ...], n: int):
-    """char_poly's per-prime constants: the primes as a column, -k^-1 modulo
+    """char_polys' per-prime constants: the primes as a column, -k^-1 modulo
     each for k = 1..n, and the CRT weights of all primes but the last."""
     p = np.array(moduli, dtype=np.float64).reshape(-1, 1)
     negated_inverses = np.array(
@@ -129,20 +128,34 @@ def _modular_constants(moduli: tuple[int, ...], n: int):
     return p, negated_inverses, weights
 
 
+# char_polys splits a group of same-order matrices into stacks whose three
+# float64 working buffers hold at most this many elements together; a single
+# matrix above it runs alone.
+_STACK_ELEMENTS = 1 << 18
+
+
 def char_poly(mat) -> Poly:
-    """det(xI - M) for an integer square matrix, exact coefficients.
+    """det(xI - M) for an integer square matrix, exact coefficients: the
+    batch of one of char_polys."""
+    return char_polys([mat])[0]
+
+
+def char_polys(mats) -> list[Poly]:
+    """det(xI - M) for each integer square matrix M, exact coefficients.
 
     Faddeev-LeVerrier, M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k
-    from M_0 = 0, c_0 = 1, run modulo several primes p > n at once as one
-    batched float64 matmul per step; k^-1 exists modulo each p.
+    from M_0 = 0, c_0 = 1, run modulo several primes p > n at once; k^-1
+    exists modulo each p.  Matrices of one order are stacked, so each step
+    is one float64 matmul over a leading batch axis and an axis of primes.
 
     Bound: c_k is (-1)^k times the sum of the k x k principal minors of A.
     By Hadamard's inequality each minor is at most the product of the norms
     of its rows, so with r_i the Euclidean norm of row i,
     |c_k| <= e_k(r) <= prod(1 + r_i) <= B = prod(1 + ceil(r_i)).  The
-    coefficients are rebuilt by CRT in the symmetric range modulo the
-    fewest primes whose product exceeds 2B, which makes them unique; one
-    further prime must agree with every coefficient, else AssertionError.
+    matrices of one order share the fewest primes whose product exceeds 2B
+    for the largest B among them, so every matrix's coefficients are rebuilt
+    uniquely by CRT in the symmetric range; one further prime must agree
+    with every coefficient of every matrix, else AssertionError.
 
     Exactness: float64 holds every integer below 2^53 exactly.  Each step
     reduces M_k to M_k - p floor(M_k fl(1/p)); while |M_k| < 2^53 the float
@@ -154,71 +167,111 @@ def char_poly(mat) -> Poly:
     so w <= 2^26 keeps these sums below 2^53 with A as given; a larger w is
     met by reducing A modulo each prime into [0, p), so w <= n (p - 1), and
     taking the primes below sqrt(2^52 / n).  Traces stay below n (p + 2),
-    and a reduced trace times k^-1 below p^2 < 2^52.
+    and a reduced trace times k^-1 below p^2 < 2^52.  Such matrices form
+    stacks of their own.
     """
-    rows = [list(map(int, row)) for row in mat]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    width = max((sum(map(abs, row)) for row in rows), default=0)
-    reduced = width > _PRIME_TOP
-    top = math.isqrt((1 << 52) // n) if reduced else _PRIME_TOP
-    bound = 2 * _coefficient_bound(rows)
+    mats = [[list(map(int, row)) for row in mat] for mat in mats]
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, rows in enumerate(mats):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix is not square")
+        wide = any(sum(map(abs, row)) > _PRIME_TOP for row in rows)
+        groups.setdefault((n, wide), []).append(i)
+    out: list[Poly] = [()] * len(mats)
+    for (n, reduced), members in groups.items():
+        top = math.isqrt((1 << 52) // n) if reduced else _PRIME_TOP
+        bound = 2 * max(_coefficient_bound(mats[i]) for i in members)
+        moduli = _moduli(n, top, bound)
+        size = max(1, _STACK_ELEMENTS // (3 * len(moduli) * n * n or 1))
+        for s in range(0, len(members), size):
+            stack = members[s:s + size]
+            polys = _char_poly_stack([mats[i] for i in stack], moduli, reduced)
+            for i, poly in zip(stack, polys):
+                out[i] = poly
+    return out
+
+
+def _moduli(n: int, top: int, bound: int) -> list[int]:
+    """The fewest primes in (n, top) whose product exceeds bound, then one
+    more: the check prime."""
     moduli: list[int] = []
     product = 1
-    for q in takewhile(lambda q: q > n, primes_below(top)):
+    for q in primes_below(top):
+        if q <= n:
+            break
         moduli.append(q)
         if product > bound:  # q is the check prime
-            break
+            return moduli
         product *= q
-    else:
-        raise ValueError(f"too few primes in {n + 1}..{top - 1} for an exact char_poly")
+    raise ValueError(f"too few primes in {n + 1}..{top - 1} for an exact char_poly")
 
-    count = len(moduli)
+
+def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
+    """char_polys on one stack of same-order integer matrices (row lists).
+
+    Each (matrix, prime) pair is a lane; the matmul sees the lanes as
+    (matrix, prime) and every other step as one flat axis.
+    """
+    batch, n, count = len(stack), len(stack[0]), len(moduli)
+    lanes = batch * count
     p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
     if reduced:
-        a = np.array([[[x % q for x in row] for row in rows] for q in moduli], dtype=np.float64)
+        a = np.array(
+            [[[[x % q for x in row] for row in rows] for q in moduli] for rows in stack],
+            dtype=np.float64,
+        ).reshape(batch, count, n, n)
     else:
-        a = np.array(rows, dtype=np.float64).reshape(n, n)
-    residues = np.empty((n + 1, count, 1))
+        a = np.array(stack, dtype=np.float64).reshape(batch, 1, n, n)
+    if batch > 1:  # one row of constants per lane, matrix-major
+        p = np.tile(p, (batch, 1))
+        negated_inverses = np.tile(negated_inverses, (1, batch, 1))
+    residues = np.empty((n + 1, lanes, 1))
     residues[0] = 1
     # M_(k-1), M_k and scratch for the float quotient, with diagonal views
-    m, m_next, quotient = buffers = np.zeros((3, count, n, n))
-    diag, diag_next, _ = buffers.reshape(3, count, n * n)[:, :, :: n + 1]
+    m, m_next, quotient = buffers = np.zeros((3, lanes, n, n))
+    diag, diag_next, _ = buffers.reshape(3, lanes, n * n)[:, :, :: n + 1]
+    stacked, stacked_next, _ = buffers.reshape(3, batch, count, n, n)
     p_col = p[:, :, None]
     p_inv = 1 / p_col
     for k in range(1, n + 1):
         diag += residues[k - 1]
-        np.matmul(a, m, out=m_next)
+        np.matmul(a, stacked, out=stacked_next)
         np.multiply(m_next, p_inv, out=quotient)
         np.floor(quotient, out=quotient)
         np.multiply(quotient, p_col, out=quotient)
         np.subtract(m_next, quotient, out=m_next)
-        trace = diag_next.sum(axis=1, keepdims=True)
+        trace = np.add.reduce(diag_next, axis=1, keepdims=True)
         np.remainder(trace, p, out=trace)
         np.multiply(trace, negated_inverses[k - 1], out=trace)
         np.remainder(trace, p, out=residues[k])
         m, m_next, diag, diag_next = m_next, m, diag_next, diag
-    residues = residues.reshape(n + 1, count)
+        stacked, stacked_next = stacked_next, stacked
 
     check = moduli[-1]
-    coeffs = []
-    for res in residues.astype(np.int64).tolist():
-        x = sum(map(mul, weights, res)) % product
-        if x > product // 2:
-            x -= product
-        if x % check != res[-1]:
-            raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
-        coeffs.append(x)
-    return tuple(reversed(coeffs))
+    product = math.prod(moduli[:-1])
+    polys = []
+    by_matrix = residues.reshape(n + 1, batch, count).transpose(1, 0, 2)
+    for member in by_matrix.astype(np.int64).tolist():
+        coeffs = []
+        for res in member:
+            x = sum(map(mul, weights, res)) % product
+            if x > product // 2:
+                x -= product
+            if x % check != res[-1]:
+                raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
+            coeffs.append(x)
+        polys.append(tuple(reversed(coeffs)))
+    return polys
 
 
 def eigenvalues_float(mat) -> list[float]:
-    """Sorted float eigenvalues of a symmetric integer matrix (cross-check only)."""
+    """Sorted float eigenvalues of a symmetric integer matrix, given as rows
+    or as an array (cross-check only)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    a = np.array(mat, dtype=float).reshape(n, n)
+    a = np.asarray(mat, dtype=np.float64).reshape(n, n)
     if (a != a.T).any():
         i, j = np.argwhere(np.triu(a != a.T))[0].tolist()
         raise ValueError(f"matrix not symmetric at ({i}, {j})")
@@ -374,18 +427,33 @@ def poly_gcd(p, q) -> Poly:
 
 
 def squarefree_part(p) -> Poly:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
+    """p / gcd(p, p'), primitive with positive leading coefficient.
+
+    The gcd is primitive, so by Gauss's lemma the quotient has integer
+    coefficients and exact integer long division finds it.
+    """
     p = poly_trim(p)
     if not p:
         raise ValueError("zero polynomial has no squarefree part")
     if len(p) == 1:
         return (1,)
     g = poly_gcd(p, poly_derivative(p))
-    quo, rem = poly_divmod(p, g)
-    if rem:
+    rem = list(p)
+    dg = len(g) - 1
+    lead = g[-1]
+    quo = [0] * max(len(rem) - dg, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        f, r = divmod(rem[shift + dg], lead)
+        if r:
+            raise AssertionError("gcd does not divide its polynomial")
+        if f:
+            quo[shift] = f
+            for j, c in enumerate(g):
+                rem[shift + j] -= f * c
+    if any(rem[:dg]):
         raise AssertionError("gcd does not divide its polynomial")
-    quo = poly_primitive([int(c) if isinstance(c, Fraction) else c for c in quo])
-    if quo and quo[-1] < 0:
+    quo = poly_primitive(quo)
+    if quo[-1] < 0:
         quo = tuple([-c for c in quo])
     return quo
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .graphs import Graph, degree_vector, is_connected
 from .linalg import (
     char_poly,
+    char_polys,
     cluster_floats,
     distinct_root_count,
     extract_integer_roots,
@@ -29,8 +31,8 @@ from .spectrum import TwoWalkParams, two_walk_params
 def seidel_matrix(g: Graph) -> list[list[int]]:
     n = g.n
     return [
-        [0 if u == v else (-1 if g.has_edge(u, v) else 1) for u in range(n)]
-        for v in range(n)
+        [0 if u == v else (-1 if (row >> u) & 1 else 1) for u in range(n)]
+        for v, row in enumerate(g.rows)
     ]
 
 
@@ -106,36 +108,59 @@ class SeidelReport:
         }
 
 
-def seidel_report(g: Graph) -> SeidelReport:
-    """Exact Seidel characteristic polynomial and what it decides.
+@lru_cache(maxsize=1024)
+def _seidel_root_data(cp: tuple) -> tuple[int, tuple | None]:
+    """(distinct root count, integer spectrum or None) of a Seidel
+    characteristic polynomial of degree n: the facts that depend on the
+    polynomial alone, computed once per polynomial.
 
-    The integer Seidel eigenvalues are found by exact evaluation of the
-    characteristic polynomial over -(n-1)..n-1, which holds every root:
-    |rho| <= n-1, the largest absolute row sum of S.  The float eigenvalues
-    are only reported (float_spectrum); no decision reads them.
+    The integer Seidel eigenvalues are found by exact evaluation over
+    -(n-1)..n-1, which holds every root: |rho| <= n-1, the largest absolute
+    row sum of S.  Two distinct eigenvalues that split over Z multiply to
+    -(n-1), as the diagonal of (S - rho0 I)(S - rho1 I) = 0 forces.
     """
-    s = seidel_matrix(g)
-    cp = char_poly(s)
+    n = len(cp) - 1
     distinct = distinct_root_count(cp)
-    floats = np.linalg.eigvalsh(np.array(s, dtype=float)).tolist()
-    float_spec = tuple(cluster_floats(sorted(floats)))
-    roots, residual = extract_integer_roots(cp, range(-(g.n - 1), g.n))
+    roots, residual = extract_integer_roots(cp, range(-(n - 1), n))
     spectrum = tuple(roots) if poly_trim(residual) == (1,) else None
-    rtg = g.n >= 2 and distinct == 2
-    if rtg and spectrum is not None:
+    if n >= 2 and distinct == 2 and spectrum is not None:
         prod = 1
         for r, _ in spectrum:
             prod *= r
-        assert prod == -(g.n - 1), "Seidel eigenvalue product != -(n-1)"
-    return SeidelReport(
-        n=g.n,
-        seidel_char_poly=cp,
-        distinct_seidel_count=distinct,
-        strong=is_strong(g),
-        regular_two_graph=rtg,
-        spectrum=spectrum,
-        float_spectrum=float_spec,
-    )
+        assert prod == -(n - 1), "Seidel eigenvalue product != -(n-1)"
+    return distinct, spectrum
+
+
+def seidel_reports(graphs) -> list[SeidelReport]:
+    """Exact Seidel characteristic polynomial and what it decides, for each
+    graph; one char_polys call for all of them.
+
+    The float eigenvalues are only reported (float_spectrum); no decision
+    reads them.
+    """
+    graphs = list(graphs)
+    mats = [seidel_matrix(g) for g in graphs]
+    reports = []
+    for g, s, cp in zip(graphs, mats, char_polys(mats)):
+        distinct, spectrum = _seidel_root_data(cp)
+        floats = np.linalg.eigvalsh(np.array(s, dtype=float)).tolist()
+        reports.append(
+            SeidelReport(
+                n=g.n,
+                seidel_char_poly=cp,
+                distinct_seidel_count=distinct,
+                strong=is_strong(g),
+                regular_two_graph=g.n >= 2 and distinct == 2,
+                spectrum=spectrum,
+                float_spectrum=tuple(cluster_floats(sorted(floats))),
+            )
+        )
+    return reports
+
+
+def seidel_report(g: Graph) -> SeidelReport:
+    """The Seidel report of one graph (see seidel_reports)."""
+    return seidel_reports([g])[0]
 
 
 def srg_params(g: Graph) -> tuple[int, int, int, int] | None:

@@ -1,9 +1,23 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from mainspectra import parse_graph6, t_lambda_tree, write_graph6
-from mainspectra.cli import main
+from mainspectra import (
+    analyze,
+    is_equitable,
+    main_bound,
+    parse_graph6,
+    quotient_matrix,
+    refine_to_equitable,
+    seidel_report,
+    t_lambda_tree,
+    valency_partition,
+    write_graph6,
+)
+from mainspectra.cli import ANALYZE_CHUNK, main
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -53,6 +67,46 @@ def test_analyze_file_input(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0].startswith("n,edges")
+
+
+def graph_by_graph_record(g):
+    """An analyze --seidel --equitable record built from the one-graph calls."""
+    record = analyze(g).to_json()
+    record["seidel"] = seidel_report(g).to_json()
+    blocks = refine_to_equitable(g, valency_partition(g))
+    record["equitable"] = {
+        "valency_partition_equitable": is_equitable(g, valency_partition(g)),
+        "refined_blocks": [list(b) for b in blocks],
+        "quotient": quotient_matrix(g, blocks).to_json(),
+        "main_bound": main_bound(g, blocks),
+    }
+    return json.dumps(record)
+
+
+def test_analyze_across_chunk_boundaries(capsys, tmp_path):
+    lines = (DATA_DIR / "all_n_le_7.g6").read_text().splitlines()
+    assert len(lines) == 1252 and ANALYZE_CHUNK == 64
+    graphs = [parse_graph6(line) for line in lines]
+    # file lines 63 and 65 blank, 64 malformed, and a malformed last line:
+    # the first chunk closes on file line 66
+    text = lines[:62] + ["", "D?{{", ""] + lines[62:] + ["not graph6!!"]
+    path = tmp_path / "in.g6"
+    path.write_text("\n".join(text) + "\n")
+    code, out, err = run_cli(capsys, ["analyze", "--seidel", "--equitable", str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        "line 64: payload length 3 != expected 2 for n=5",
+        f"line {len(text)}: payload length 11 != expected 181 for n=47",
+    ]
+    assert out.splitlines() == [graph_by_graph_record(g) for g in graphs]
+
+
+@pytest.mark.parametrize("flag", ["--seidel", "--equitable"])
+def test_analyze_csv_refuses_report_flags(capsys, tmp_path, flag):
+    f = tmp_path / "in.g6"
+    f.write_text(write_graph6(t_lambda_tree(2)) + "\n")
+    err = _one_line_error(capsys, ["analyze", str(f), "--format", "csv", flag], 2)
+    assert "--format csv" in err
 
 
 def test_construct_biregular(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from mainspectra import (
     cycle,
+    equitable_records,
     is_equitable,
     main_bound,
     main_eigenvalue_count,
@@ -117,3 +118,18 @@ def test_quotient_bound_on_corpus(connected_n_le_8):
     for g in connected_n_le_8:
         blocks = refine_to_equitable(g, valency_partition(g))
         assert main_eigenvalue_count(g) <= main_bound(g, blocks)
+
+
+def test_equitable_records_match_one_graph_calls(all_n_le_7):
+    # one char_polys call over graphs of every order 1..7; the valency
+    # partition is equitable exactly when refinement leaves it unchanged
+    records = equitable_records(all_n_le_7)
+    assert len(records) == len(all_n_le_7)
+    for g, rec in zip(all_n_le_7, records):
+        blocks = refine_to_equitable(g, valency_partition(g))
+        assert rec == {
+            "valency_partition_equitable": is_equitable(g, valency_partition(g)),
+            "refined_blocks": [list(b) for b in blocks],
+            "quotient": quotient_matrix(g, blocks).to_json(),
+            "main_bound": main_bound(g, blocks),
+        }

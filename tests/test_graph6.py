@@ -17,6 +17,26 @@ from mainspectra.graphs import star
 from conftest import graphs
 
 
+def write_graph6_bitwise(g):
+    """The writer read one bit per pair: the oracle for write_graph6."""
+    from mainspectra.graph6 import _encode_size
+
+    out = [_encode_size(g.n)]
+    acc = 0
+    nbits = 0
+    for col in range(1, g.n):
+        for row in range(col):
+            acc = (acc << 1) | ((g.rows[col] >> row) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return "".join(out)
+
+
 def test_d_brace_is_a_5_vertex_star():
     # independent oracle: networkx parse of the same string
     g = parse_graph6("D?{")
@@ -130,6 +150,17 @@ def test_roundtrip_large(n, monkeypatch):
     assert sorted(tuple(sorted(e)) for e in ref.edges()) == sorted(
         tuple(sorted(e)) for e in g.edges()
     )
+
+
+def test_writer_matches_bitwise_oracle(all_n_le_7, roundtrip_corpus_lines, monkeypatch):
+    corpus = all_n_le_7 + [parse_graph6(line) for line in roundtrip_corpus_lines]
+    for g in corpus:
+        assert write_graph6(g) == write_graph6_bitwise(g)
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "1024")
+    for n in (62, 63, 64, 658):
+        rng = random.Random(1000 + n)
+        g = graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.3])
+        assert write_graph6(g) == write_graph6_bitwise(g)
 
 
 def test_nonzero_padding_rejected_extended_size(monkeypatch):

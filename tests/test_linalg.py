@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mainspectra import (
     char_poly,
+    char_polys,
     cycle,
     distinct_root_count,
     eigenvalues_float,
@@ -29,6 +30,8 @@ from mainspectra.linalg import (
     poly_gcd,
     poly_mul,
     poly_pow,
+    poly_primitive,
+    poly_trim,
     primes_below,
 )
 from mainspectra.seidel import switch_mask
@@ -67,6 +70,32 @@ def char_poly_object(mat):
         c = -(t // k)
         coeffs_desc.append(c)
     return tuple(reversed(coeffs_desc))
+
+
+def squarefree_part_fraction(p):
+    """p / gcd(p, p') by long division over the rationals, primitive with
+    positive leading coefficient."""
+    p = poly_trim(p)
+    if len(p) == 1:
+        return (1,)
+    g = poly_gcd(p, poly_derivative(p))
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * (len(p) - len(g) + 1)
+    while len(rem) >= len(g) and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(g):
+            break
+        shift = len(rem) - len(g)
+        factor = rem[-1] / Fraction(g[-1])
+        quo[shift] = factor
+        for j, c in enumerate(g):
+            rem[shift + j] -= factor * c
+        rem.pop()
+    assert not any(rem)
+    assert all(c.denominator == 1 for c in quo)
+    quo = poly_primitive([int(c) for c in quo])
+    return tuple([-c for c in quo]) if quo[-1] < 0 else quo
 
 
 def sp6_member():
@@ -184,6 +213,44 @@ def test_char_poly_large_entries(seed):
     assert poly_eval(p, x) == det_cofactor(shifted)
 
 
+def test_char_polys_mixed_stack():
+    rng = random.Random(7)
+    mats = [seidel_matrix(g) for g in (cycle(4), path(5), symplectic_graph(2))]
+    # the n = 4 group mixes C4's S (bound 81) with entries up to 10^4 (|det| ~ 10^16)
+    for n in (2, 4, 4, 7):
+        mats.append([[rng.randint(-(10**4), 10**4) for _ in range(n)] for _ in range(n)])
+    mats.insert(3, [[1, 2, 3], [4, 5, 6], [7, 8, -(10**9)]])  # row sum > 2^26: reduced
+    mats += [[[0]], [[-3]], seidel_matrix(path(4))]
+    assert char_polys(mats) == [char_poly_object(m) for m in mats]
+    assert char_polys([]) == []
+
+
+def test_char_polys_splits_at_the_element_budget(monkeypatch):
+    # 40 n = 8 Seidel matrices under a budget of 3 * 2 * 64 * 5 elements run
+    # as stacks of at most 5; a single n = 16 matrix above it runs alone
+    stacks = []
+    original = linalg._char_poly_stack
+    monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 3 * 2 * 64 * 5)
+    def recording(stack, *args):
+        stacks.append(len(stack))
+        return original(stack, *args)
+
+    monkeypatch.setattr(linalg, "_char_poly_stack", recording)
+    rng = random.Random(3)
+    graphs = [switch_mask(cycle(8), rng.getrandbits(8)) for _ in range(20)]
+    graphs += [switch_mask(path(8), rng.getrandbits(8)) for _ in range(20)]
+    mats = [seidel_matrix(g) for g in graphs] + [seidel_matrix(symplectic_graph(2))]
+    assert char_polys(mats) == [char_poly_object(m) for m in mats]
+    assert max(stacks) <= 5 and sum(stacks) == 41 and stacks[-1] == 1
+
+
+def test_char_polys_check_prime_catches_a_low_bound_in_a_stack(monkeypatch):
+    monkeypatch.setattr(linalg, "_coefficient_bound", lambda rows: 1)
+    g = sp6_member()
+    with pytest.raises(AssertionError, match="check prime"):
+        char_polys([seidel_matrix(g), g.adjacency_matrix(), seidel_matrix(symplectic_graph(2))])
+
+
 def test_char_poly_refuses_without_enough_primes(monkeypatch):
     # C4's Seidel bound is 81: the primes 11, 7, 5 in 5..11 cover 2 * 81, and
     # no prime is left above n = 4 for the check
@@ -212,6 +279,34 @@ def test_squarefree_examples():
     assert squarefree_part((-2, 0, 1)) == (-2, 0, 1)
     with pytest.raises(ValueError):
         squarefree_part(())
+
+
+@st.composite
+def integer_polys(draw):
+    """Products of powers of small integer factors times a content: not
+    monic and often not primitive."""
+    p = (draw(st.sampled_from([1, -1, 2, -3, 6, 12])),)
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3))
+        if poly_trim(f):
+            p = poly_mul(p, poly_pow(f, draw(st.integers(1, 3))))
+    return p
+
+
+@settings(max_examples=200)
+@given(integer_polys())
+def test_squarefree_part_matches_fraction_oracle(p):
+    assert squarefree_part(p) == squarefree_part_fraction(p)
+
+
+def test_squarefree_part_needs_a_divisor(monkeypatch):
+    monkeypatch.setattr(linalg, "poly_gcd", lambda p, q: (1, 1))  # x + 1
+    with pytest.raises(AssertionError, match="gcd does not divide"):
+        squarefree_part((1, 0, 1))  # x^2 + 1
+    # 3x^2 = (3/2)x * 2x: the quotient is not integral, though the remainder is 0
+    monkeypatch.setattr(linalg, "poly_gcd", lambda p, q: (0, 2))
+    with pytest.raises(AssertionError, match="gcd does not divide"):
+        squarefree_part((0, 0, 3))
 
 
 def test_poly_gcd_basics():

@@ -15,6 +15,7 @@ from mainspectra import (
     rank_exact,
     seidel_matrix,
     seidel_report,
+    seidel_reports,
     srg_params,
     switch,
     symplectic_graph,
@@ -82,6 +83,15 @@ def test_no_float_feeds_a_decision(monkeypatch):
     assert seidel_report(symplectic_graph(2)).spectrum == ((3, 10), (-5, 6))
     table = census_table(symplectic_graph(2))
     assert table.verification["structure_checks"] == "ran"
+
+
+def test_seidel_reports_match_one_graph_calls(all_n_le_7):
+    # the batch groups graphs of orders 1..7 and must return them in order
+    sample = all_n_le_7[::-3] + [symplectic_graph(2)] + all_n_le_7[1::40]
+    reports = seidel_reports(sample)
+    assert [r.to_json() for r in reports] == [seidel_report(g).to_json() for g in sample]
+    assert [r.seidel_char_poly for r in reports] == [char_poly(seidel_matrix(g)) for g in sample]
+    assert seidel_reports([]) == []
 
 
 def test_seidel_report_c5():

@@ -234,3 +234,11 @@ def test_one_main_iff_regular_on_corpus(connected_n_le_8):
     for g in connected_n_le_8[::5]:
         regular = len(set(degree_vector(g))) == 1
         assert (main_eigenvalue_count(g) == 1) == regular
+
+
+def test_spectral_radius_from_the_bitset_adjacency(all_n_le_7):
+    # eigvalsh sees the same matrix as from the adjacency lists, so the
+    # float is bit-identical
+    for g in all_n_le_7[::7] + [t_lambda_tree(4)]:
+        a = np.array(g.adjacency_matrix(), dtype=float)
+        assert analyze(g).spectral_radius == max(np.linalg.eigvalsh(a).tolist())
