@@ -28,11 +28,9 @@ from .constructions import (
     three_valenced_boundary,
 )
 from .equitable import (
-    QuotientMatrix,
     equitable_records,
     is_equitable,
     main_bound,
-    quotient_matrix,
     refine_to_equitable,
     valency_partition,
 )
@@ -60,7 +58,6 @@ from .linalg import (
     char_polys,
     distinct_root_count,
     eigenvalues_float,
-    poly_divides,
     rank_exact,
     squarefree_part,
 )

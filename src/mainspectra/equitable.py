@@ -2,19 +2,15 @@
 
 A partition is a tuple of blocks (sorted vertex tuples).  It is equitable
 when every vertex's count of neighbours in each block depends only on its
-own block; the quotient matrix collects those counts (averages in general).
-An equitable partition with r distinct quotient eigenvalues bounds the
-number of main eigenvalues by r.
+own block; the integer quotient matrix collects those counts, one row per
+block.  An equitable partition with r distinct quotient eigenvalues bounds
+the number of main eigenvalues by r.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .graphs import Graph, degree_vector
-from .linalg import char_polys, distinct_root_count
-from .spectrum import fraction_to_json
+from .linalg import char_poly, char_polys, distinct_root_count
 
 Partition = tuple
 
@@ -54,20 +50,44 @@ def _block_masks(blocks) -> list[int]:
     return masks
 
 
-def _signature(g: Graph, v: int, masks) -> tuple[int, ...]:
-    row = g.rows[v]
-    return tuple((row & m).bit_count() for m in masks)
+def _signature_groups(g: Graph, blocks) -> list[dict[tuple, list[int]]]:
+    """One signature pass: each block's vertices grouped by their signature,
+    the count of their neighbours in every block."""
+    masks = _block_masks(blocks)
+    rows = g.rows
+    out = []
+    for b in blocks:
+        groups: dict[tuple, list[int]] = {}
+        for v in b:
+            row = rows[v]
+            groups.setdefault(tuple([(row & m).bit_count() for m in masks]), []).append(v)
+        out.append(groups)
+    return out
+
+
+def _quotient_rows(groups) -> list[tuple[int, ...]]:
+    """The integer quotient rows of a signature pass, one per block, when
+    every block has exactly one signature; ValueError otherwise."""
+    if any(len(sigs) != 1 for sigs in groups):
+        raise ValueError("partition is not equitable")
+    return [next(iter(sigs)) for sigs in groups]
 
 
 def is_equitable(g: Graph, blocks) -> bool:
+    groups = _signature_groups(g, _check_partition(g, blocks))
+    return all(len(sigs) == 1 for sigs in groups)
+
+
+def _refine(g: Graph, blocks) -> tuple[Partition, list[tuple[int, ...]]]:
+    """refine_to_equitable's partition and its quotient rows, the signatures
+    of the last round, which split no block."""
     blocks = _check_partition(g, blocks)
-    masks = _block_masks(blocks)
-    for b in blocks:
-        ref = _signature(g, b[0], masks)
-        for v in b[1:]:
-            if _signature(g, v, masks) != ref:
-                return False
-    return True
+    while True:
+        groups = _signature_groups(g, blocks)
+        refined = tuple(tuple(sigs[sig]) for sigs in groups for sig in sorted(sigs))
+        if len(refined) == len(blocks):
+            return blocks, _quotient_rows(groups)
+        blocks = refined
 
 
 def refine_to_equitable(g: Graph, blocks) -> Partition:
@@ -77,68 +97,7 @@ def refine_to_equitable(g: Graph, blocks) -> Partition:
     current blocks; sub-blocks are ordered by signature, so the result is
     deterministic.
     """
-    blocks = _check_partition(g, blocks)
-    while True:
-        masks = _block_masks(blocks)
-        new_blocks: list[tuple[int, ...]] = []
-        changed = False
-        for b in blocks:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in b:
-                groups.setdefault(_signature(g, v, masks), []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                new_blocks.append(tuple(groups[sig]))
-        blocks = tuple(new_blocks)
-        if not changed:
-            return blocks
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    entries: tuple  # rows of Fractions
-    block_sizes: tuple
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def int_matrix(self) -> list[list[int]]:
-        if not self.is_integral():
-            raise ValueError("quotient matrix is not integral")
-        return [[int(x) for x in row] for row in self.entries]
-
-    def to_json(self) -> dict:
-        return {
-            "block_sizes": list(self.block_sizes),
-            "entries": [[fraction_to_json(x) for x in row] for row in self.entries],
-        }
-
-
-def quotient_matrix(g: Graph, blocks) -> QuotientMatrix:
-    """Average neighbour counts b_ij between blocks, exact rationals."""
-    blocks = _check_partition(g, blocks)
-    masks = _block_masks(blocks)
-    entries = []
-    for b in blocks:
-        totals = [0] * len(blocks)
-        for v in b:
-            for j, m in enumerate(masks):
-                totals[j] += (g.rows[v] & m).bit_count()
-        entries.append(tuple(Fraction(t, len(b)) for t in totals))
-    return QuotientMatrix(tuple(entries), tuple(len(b) for b in blocks))
-
-
-def _quotient_bounds(pairs) -> list[tuple[QuotientMatrix, int]]:
-    """Quotient matrix and distinct quotient eigenvalue count for each
-    (graph, equitable partition) pair; one char_polys call for all."""
-    quotients = []
-    for g, blocks in pairs:
-        if not is_equitable(g, blocks):
-            raise ValueError("partition is not equitable")
-        quotients.append(quotient_matrix(g, blocks))
-    polys = char_polys([q.int_matrix() for q in quotients])
-    return [(q, distinct_root_count(cp)) for q, cp in zip(quotients, polys)]
+    return _refine(g, blocks)[0]
 
 
 def main_bound(g: Graph, blocks) -> int:
@@ -146,7 +105,8 @@ def main_bound(g: Graph, blocks) -> int:
 
     The number of main eigenvalues of g never exceeds this.
     """
-    return _quotient_bounds([(g, blocks)])[0][1]
+    groups = _signature_groups(g, _check_partition(g, blocks))
+    return distinct_root_count(char_poly(_quotient_rows(groups)))
 
 
 def equitable_records(graphs) -> list[dict]:
@@ -159,15 +119,17 @@ def equitable_records(graphs) -> list[dict]:
     """
     graphs = list(graphs)
     valency = [valency_partition(g) for g in graphs]
-    refined = [refine_to_equitable(g, blocks) for g, blocks in zip(graphs, valency)]
+    refined = [_refine(g, blocks) for g, blocks in zip(graphs, valency)]
+    bounds = [distinct_root_count(cp) for cp in char_polys([rows for _, rows in refined])]
     return [
         {
             "valency_partition_equitable": blocks == start,
             "refined_blocks": [list(b) for b in blocks],
-            "quotient": q.to_json(),
+            "quotient": {
+                "block_sizes": [len(b) for b in blocks],
+                "entries": [list(row) for row in rows],
+            },
             "main_bound": bound,
         }
-        for start, blocks, (q, bound) in zip(
-            valency, refined, _quotient_bounds(zip(graphs, refined))
-        )
+        for start, (blocks, rows), bound in zip(valency, refined, bounds)
     ]

@@ -130,7 +130,7 @@ def _modular_constants(moduli: tuple[int, ...], n: int):
 
 # char_polys splits a group of same-order matrices into stacks whose three
 # float64 working buffers hold at most this many elements together; a single
-# matrix above it runs alone.
+# matrix above it runs alone, its primes in groups that fit.
 _STACK_ELEMENTS = 1 << 18
 
 
@@ -208,21 +208,52 @@ def _moduli(n: int, top: int, bound: int) -> list[int]:
 
 
 def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
-    """char_polys on one stack of same-order integer matrices (row lists).
+    """char_polys on one stack of same-order integer matrices (row lists):
+    the residues modulo every prime, then CRT and the check prime.
+
+    The primes run in groups whose lanes fit _STACK_ELEMENTS: one group,
+    unless the stack is a single matrix too large for all its primes at once.
+    """
+    batch, n = len(stack), len(stack[0])
+    group = max(1, _STACK_ELEMENTS // (3 * batch * n * n or 1))
+    p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
+    a = None if reduced else np.array(stack, dtype=np.float64).reshape(batch, 1, n, n)
+    by_matrix = np.concatenate([
+        _residues(stack, a, moduli[s:s + group], p[s:s + group], negated_inverses[:, s:s + group])
+        for s in range(0, len(moduli), group)
+    ], axis=2)
+    check = moduli[-1]
+    product = math.prod(moduli[:-1])
+    polys = []
+    for member in by_matrix.tolist():
+        coeffs = []
+        for res in member:
+            x = sum(map(mul, weights, res)) % product
+            if x > product // 2:
+                x -= product
+            if x % check != res[-1]:
+                raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
+            coeffs.append(x)
+        polys.append(tuple(reversed(coeffs)))
+    return polys
+
+
+def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
+    """The char_poly coefficients c_0..c_n of each matrix of the stack
+    modulo each prime, as an int64 array (matrix, k, prime).  a is the
+    stack as float64 (batch, 1, n, n), or None to reduce it modulo each
+    prime; p and negated_inverses are the primes' _modular_constants.
 
     Each (matrix, prime) pair is a lane; the matmul sees the lanes as
     (matrix, prime) and every other step as one flat axis.
     """
     batch, n, count = len(stack), len(stack[0]), len(moduli)
     lanes = batch * count
-    p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
-    if reduced:
+    if a is None:
         a = np.array(
             [[[[x % q for x in row] for row in rows] for q in moduli] for rows in stack],
             dtype=np.float64,
         ).reshape(batch, count, n, n)
-    else:
-        a = np.array(stack, dtype=np.float64).reshape(batch, 1, n, n)
     if batch > 1:  # one row of constants per lane, matrix-major
         p = np.tile(p, (batch, 1))
         negated_inverses = np.tile(negated_inverses, (1, batch, 1))
@@ -247,22 +278,7 @@ def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
         np.remainder(trace, p, out=residues[k])
         m, m_next, diag, diag_next = m_next, m, diag_next, diag
         stacked, stacked_next = stacked_next, stacked
-
-    check = moduli[-1]
-    product = math.prod(moduli[:-1])
-    polys = []
-    by_matrix = residues.reshape(n + 1, batch, count).transpose(1, 0, 2)
-    for member in by_matrix.astype(np.int64).tolist():
-        coeffs = []
-        for res in member:
-            x = sum(map(mul, weights, res)) % product
-            if x > product // 2:
-                x -= product
-            if x % check != res[-1]:
-                raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
-            coeffs.append(x)
-        polys.append(tuple(reversed(coeffs)))
-    return polys
+    return residues.reshape(n + 1, batch, count).transpose(1, 0, 2).astype(np.int64)
 
 
 def eigenvalues_float(mat) -> list[float]:
@@ -303,11 +319,6 @@ def poly_trim(p) -> Poly:
     return tuple(p)
 
 
-def poly_degree(p) -> int:
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
-
-
 def poly_mul(p, q) -> Poly:
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
@@ -340,41 +351,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_divmod(p, q) -> tuple[Poly, Poly]:
-    """Division with remainder over the rationals."""
-    p, q = poly_trim(p), poly_trim(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    while len(rem) >= len(q) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(q):
-            break
-        shift = len(rem) - len(q)
-        factor = rem[-1] / lead
-        quo[shift] = factor
-        for j, c in enumerate(q):
-            rem[shift + j] -= factor * c
-        rem.pop()
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_divides(p, q) -> tuple[bool, Poly | None]:
-    """Does p divide q exactly (over the rationals)?  Returns the quotient too."""
-    p = poly_trim(p)
-    if not p:
-        raise ValueError("zero divisor polynomial")
-    quo, rem = poly_divmod(q, p)
-    if rem:
-        return False, None
-    if all(isinstance(c, Fraction) and c.denominator == 1 for c in quo):
-        quo = tuple([int(c) for c in quo])
-    return True, quo
-
-
 def poly_content(p) -> int:
     g = 0
     for c in p:
@@ -390,40 +366,111 @@ def poly_primitive(p) -> Poly:
     return tuple([int(c) // g for c in p])
 
 
-def _pseudo_rem(p: list, q: list) -> list:
-    dq = len(q) - 1
-    lead = q[-1]
-    r = list(p)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dq:
-            return r
-        top = r[-1]
-        shift = len(r) - 1 - dq
-        r = [lead * c for c in r]
-        for j in range(dq + 1):
-            r[shift + j] -= top * q[j]
-        r.pop()
+def _primitive_positive(p) -> Poly:
+    p = poly_primitive(p)
+    return p if p[-1] > 0 else tuple([-c for c in p])
 
 
-def poly_gcd(p, q) -> Poly:
-    """GCD of integer polynomials, primitive with positive leading coefficient.
+def _exact_quotient(p: Poly, g: Poly) -> Poly | None:
+    """p / g when g divides p in Z[x], else None: integer long division in
+    which every quotient coefficient must come out exact.  For a primitive
+    g this is divisibility over the rationals too (Gauss's lemma)."""
+    rem = list(p)
+    dg = len(g) - 1
+    lead = g[-1]
+    quo = [0] * max(len(rem) - dg, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        f, r = divmod(rem[shift + dg], lead)
+        if r:
+            return None
+        if f:
+            quo[shift] = f
+            for j in range(dg):
+                rem[shift + j] -= f * g[j]
+    if any(rem[:dg]):
+        return None
+    return tuple(quo)
 
-    Primitive pseudo-remainder sequence, which keeps coefficient growth in
-    check for the degree-60-plus characteristic polynomials seen here.
-    """
-    a = list(poly_primitive(p))
-    b = list(poly_primitive(q))
-    if len(a) < len(b):
-        a, b = b, a
+
+def _divmod_mod(a: list, b: list, q: int) -> tuple[list, list]:
+    """Quotient and trimmed remainder of a by the monic b modulo the prime q;
+    a is overwritten."""
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        f = quo[shift] = a[shift + db] % q
+        if f:
+            for j in range(db):
+                a[shift + j] -= f * b[j]
+    rem = [c % q for c in a[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _gcd_mod(a: list, b: list, q: int) -> list:
+    """Monic gcd modulo the prime q of two coefficient lists reduced into
+    [0, q) and trimmed, a non-zero; a is overwritten."""
     while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, list(poly_primitive(r))
-    a = poly_primitive(a)
-    if a and a[-1] < 0:
-        a = tuple([-c for c in a])
-    return tuple(a)
+        inv = pow(b[-1], -1, q)
+        b = [c * inv % q for c in b]
+        a, b = b, _divmod_mod(a, b, q)[1]
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def _derivative_gcd(p: Poly) -> Poly:
+    """gcd(p, p') of a trimmed non-zero integer polynomial, primitive with
+    positive leading coefficient, by Brown's modular algorithm.
+
+    The primes are char_polys', skipping any that divides p's leading
+    coefficient c.  Modulo any other q the true gcd g keeps its degree (its
+    leading coefficient divides c) and divides both images, so
+    deg gcd(p mod q, p' mod q) >= deg g: a constant one proves p
+    squarefree.  Otherwise the images of the primes of least degree so far
+    are CRT-lifted into the symmetric range: c g / lc(g) when deg g <=
+    deg p / 2, else the cofactor lc(g) p / g, as the factor of lower degree
+    has the smaller coefficient bound (Mignotte) and needs fewer primes.
+    The lift's primitive part gives a candidate G (itself, or p over it);
+    a G dividing both p and p' in Z[x] divides g with at least its degree,
+    so it is g.  Else more primes follow: the lift was short, or its
+    primes unlucky, and a prime of lower degree discards them.
+    """
+    dp = poly_derivative(p)
+    lead = p[-1]
+    degree = modulus = 0
+    residues: list[int] = []
+    for q in primes_below(_PRIME_TOP):
+        if lead % q == 0:
+            continue
+        image = [c % q for c in p]
+        dq = [c % q for c in dp]
+        while dq and not dq[-1]:
+            dq.pop()
+        gcd = _gcd_mod(image[:], dq, q)
+        d = len(gcd) - 1
+        if d == 0:
+            return (1,)
+        if modulus and d > degree:
+            continue
+        small_gcd = 2 * d <= len(p) - 1
+        image = [c * lead % q for c in gcd] if small_gcd else _divmod_mod(image, gcd, q)[0]
+        if modulus and d == degree:
+            t = pow(modulus, -1, q)
+            residues = [r + modulus * ((i - r) * t % q) for r, i in zip(residues, image)]
+            modulus *= q
+        else:
+            degree, residues, modulus = d, image, q
+        half = modulus // 2
+        lift = poly_primitive([r - modulus if r > half else r for r in residues])
+        candidate = lift if small_gcd else _exact_quotient(p, lift)
+        if (
+            candidate is not None
+            and _exact_quotient(p, candidate) is not None
+            and _exact_quotient(dp, candidate) is not None
+        ):
+            return _primitive_positive(candidate)
+    raise ValueError("too few primes for the modular gcd")
 
 
 def squarefree_part(p) -> Poly:
@@ -435,32 +482,19 @@ def squarefree_part(p) -> Poly:
     p = poly_trim(p)
     if not p:
         raise ValueError("zero polynomial has no squarefree part")
-    if len(p) == 1:
-        return (1,)
-    g = poly_gcd(p, poly_derivative(p))
-    rem = list(p)
-    dg = len(g) - 1
-    lead = g[-1]
-    quo = [0] * max(len(rem) - dg, 0)
-    for shift in range(len(quo) - 1, -1, -1):
-        f, r = divmod(rem[shift + dg], lead)
-        if r:
-            raise AssertionError("gcd does not divide its polynomial")
-        if f:
-            quo[shift] = f
-            for j, c in enumerate(g):
-                rem[shift + j] -= f * c
-    if any(rem[:dg]):
+    quo = _exact_quotient(p, _derivative_gcd(p))
+    if quo is None:
         raise AssertionError("gcd does not divide its polynomial")
-    quo = poly_primitive(quo)
-    if quo[-1] < 0:
-        quo = tuple([-c for c in quo])
-    return quo
+    return _primitive_positive(quo)
 
 
 def distinct_root_count(p) -> int:
-    """Number of distinct complex roots: the degree of the squarefree part."""
-    return poly_degree(squarefree_part(p))
+    """Number of distinct complex roots: deg p - deg gcd(p, p'), the degree
+    of the squarefree part."""
+    p = poly_trim(p)
+    if not p:
+        raise ValueError("zero polynomial has no squarefree part")
+    return len(p) - len(_derivative_gcd(p))
 
 
 def _synthetic_div(p: Poly, r: int) -> tuple[Poly, int]:

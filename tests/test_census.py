@@ -34,6 +34,8 @@ from mainspectra.census import (
 )
 from mainspectra.seidel import seidel_matrix, switch_mask
 
+from oracles import poly_divides
+
 
 def test_enumerate_k2():
     members = list(enumerate_switching_class(complete(2)))
@@ -195,8 +197,6 @@ def test_compare_self_roundtrip():
 
 def test_quadratic_divides_member_char_poly():
     # x^2 - 8x + 9 divides the characteristic polynomial of any (8, -9) member
-    from mainspectra import poly_divides
-
     base = symplectic_graph(2)
     for sub in range(1 << 15):
         member = switch_mask(base, sub << 1)

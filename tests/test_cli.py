@@ -8,7 +8,6 @@ from mainspectra import (
     is_equitable,
     main_bound,
     parse_graph6,
-    quotient_matrix,
     refine_to_equitable,
     seidel_report,
     t_lambda_tree,
@@ -16,6 +15,8 @@ from mainspectra import (
     write_graph6,
 )
 from mainspectra.cli import ANALYZE_CHUNK, main
+
+from oracles import quotient_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

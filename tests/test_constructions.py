@@ -17,7 +17,6 @@ from mainspectra import (
     is_connected,
     is_equitable,
     main_eigenvalue_count,
-    quotient_matrix,
     sp_component,
     splice,
     splice_chain,
@@ -30,6 +29,8 @@ from mainspectra import (
 )
 from mainspectra.constructions import quotient_for
 from mainspectra.spectrum import TwoWalkParams
+
+from oracles import quotient_matrix
 
 
 def tw(alpha, beta):

@@ -1,3 +1,4 @@
+import fractions
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,15 @@ from mainspectra import (
     main_bound,
     main_eigenvalue_count,
     path,
-    quotient_matrix,
     refine_to_equitable,
+    symplectic_graph,
     t_lambda_tree,
     valency_partition,
 )
+from mainspectra.equitable import _refine
 
 from conftest import graphs
+from oracles import quotient_matrix
 
 
 def test_valency_partition_examples():
@@ -86,8 +89,12 @@ def test_main_bound_examples():
     assert main_eigenvalue_count(t2) == 2
     assert main_bound(path(4), valency_partition(path(4))) == 2
     assert main_bound(cycle(4), [tuple(range(4))]) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not equitable"):
         main_bound(path(5), valency_partition(path(5)))
+    with pytest.raises(ValueError, match="not equitable"):
+        main_bound(t2, [tuple(range(t2.n))])
+    with pytest.raises(ValueError, match="not equitable"):
+        main_bound(path(4), [(0, 1), (2, 3)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,3 +140,36 @@ def test_equitable_records_match_one_graph_calls(all_n_le_7):
             "quotient": quotient_matrix(g, blocks).to_json(),
             "main_bound": main_bound(g, blocks),
         }
+
+
+def test_stable_round_rows_are_the_quotient(all_n_le_7):
+    # the signatures of refinement's last round against the averaged
+    # counts, from the valency partition, from one block (the coarsest
+    # equitable partition either way) and from the discrete partition
+    for g in all_n_le_7:
+        starts = (valency_partition(g), [tuple(range(g.n))], [(v,) for v in range(g.n)])
+        for start in starts:
+            blocks, rows = _refine(g, start)
+            assert [list(row) for row in rows] == quotient_matrix(g, blocks).int_matrix()
+        assert rows == [tuple(row) for row in g.adjacency_matrix()]
+
+
+def test_equitable_path_builds_no_fraction(monkeypatch, all_n_le_7):
+    # the quotient of an equitable partition is integral: records over a
+    # chunk of mixed orders come out right with Fraction unusable
+    chunk = all_n_le_7[::25] + [t_lambda_tree(3), symplectic_graph(2), path(5)]
+    expected = []
+    for g in chunk:
+        blocks = refine_to_equitable(g, valency_partition(g))
+        expected.append(quotient_matrix(g, blocks).to_json())
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the equitable path")
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+    records = equitable_records(chunk)
+    monkeypatch.undo()
+    assert [r["quotient"] for r in records] == expected
+    assert [r["main_bound"] for r in records] == [
+        main_bound(g, refine_to_equitable(g, valency_partition(g))) for g in chunk
+    ]

@@ -13,8 +13,6 @@ from mainspectra import (
     distinct_root_count,
     eigenvalues_float,
     path,
-    poly_divides,
-    quotient_matrix,
     rank_exact,
     refine_to_equitable,
     seidel_matrix,
@@ -27,7 +25,6 @@ from mainspectra.linalg import (
     cluster_floats,
     poly_derivative,
     poly_eval,
-    poly_gcd,
     poly_mul,
     poly_pow,
     poly_primitive,
@@ -35,6 +32,8 @@ from mainspectra.linalg import (
     primes_below,
 )
 from mainspectra.seidel import switch_mask
+
+from oracles import poly_divides, poly_gcd, quotient_matrix
 
 
 # -- oracles -----------------------------------------------------------------
@@ -244,6 +243,32 @@ def test_char_polys_splits_at_the_element_budget(monkeypatch):
     assert max(stacks) <= 5 and sum(stacks) == 41 and stacks[-1] == 1
 
 
+def test_char_polys_splits_the_primes_of_a_large_matrix(monkeypatch):
+    # a budget of two n = 16 lanes: Sp(4)'s matrices run their 3 primes as
+    # groups of 2 and 1, and the n = 64 Sp(6) Seidel matrix its 9 one by one
+    groups = []
+    original = linalg._residues
+
+    def recording(stack, a, moduli, *constants):
+        groups.append((len(stack[0]), len(moduli)))
+        return original(stack, a, moduli, *constants)
+
+    monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 3 * 16 * 16 * 2)
+    monkeypatch.setattr(linalg, "_residues", recording)
+    sp4 = symplectic_graph(2)
+    mats = [seidel_matrix(sp4), sp4.adjacency_matrix()]
+    assert char_polys(mats) == [char_poly_object(m) for m in mats]
+    assert groups == [(16, 2), (16, 1)] * 2
+    groups.clear()
+    s = seidel_matrix(sp6_member())
+    assert char_poly(s) == poly_mul(poly_pow((-7, 1), 36), poly_pow((9, 1), 28))
+    assert groups == [(64, 1)] * 9
+    # the check prime still runs after the last group
+    monkeypatch.setattr(linalg, "_coefficient_bound", lambda rows: 1)
+    with pytest.raises(AssertionError, match="check prime"):
+        char_poly(s)
+
+
 def test_char_polys_check_prime_catches_a_low_bound_in_a_stack(monkeypatch):
     monkeypatch.setattr(linalg, "_coefficient_bound", lambda rows: 1)
     g = sp6_member()
@@ -293,18 +318,78 @@ def integer_polys(draw):
     return p
 
 
-@settings(max_examples=200)
-@given(integer_polys())
+@st.composite
+def wide_integer_polys(draw):
+    """Products of powers of factors with coefficients up to 10^9 times a
+    content: their gcd with the derivative needs several primes."""
+    p = (draw(st.sampled_from([1, -1, 2, -3, 6, 12])),)
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.lists(st.integers(-(10**9), 10**9), min_size=2, max_size=4))
+        if poly_trim(f):
+            p = poly_mul(p, poly_pow(f, draw(st.integers(1, 4))))
+    return p
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(integer_polys(), wide_integer_polys()))
 def test_squarefree_part_matches_fraction_oracle(p):
+    # the modular gcd against the pseudo-remainder one
+    p = poly_trim(p)
+    g = poly_gcd(p, poly_derivative(p))
+    assert linalg._derivative_gcd(p) == g
+    assert distinct_root_count(p) == len(p) - len(g)
     assert squarefree_part(p) == squarefree_part_fraction(p)
 
 
+def _primes_from(first):
+    """A prime source that yields first, then the package's own primes."""
+    def primes(top):
+        yield first
+        yield from primes_below(top)
+    return primes
+
+
+def test_modular_gcd_skips_a_prime_dividing_the_lead(monkeypatch):
+    # (3x + 1)^2 is 1 modulo 3, whose gcd with its derivative is constant
+    # there: taken as proof, 3 would call p squarefree
+    monkeypatch.setattr(linalg, "primes_below", _primes_from(3))
+    p = poly_pow((1, 3), 2)
+    assert squarefree_part(p) == (1, 3)
+    assert distinct_root_count(p) == 1
+    p = poly_mul(p, poly_pow((-5, 1), 3))  # lead 9 still
+    assert squarefree_part(p) == poly_mul((1, 3), (-5, 1))
+    assert distinct_root_count(p) == 2
+
+
+def test_modular_gcd_recovers_from_an_unlucky_prime(monkeypatch):
+    # p = x (x - q) (x - 1)^2 is x^2 (x - 1)^2 modulo q, where the gcd with
+    # p' is x (x - 1): the candidate x^2 - x divides p but not p', and the
+    # next prime, of lower degree, discards it
+    q = 101
+    p = poly_mul(poly_mul((0, 1), (-q, 1)), poly_pow((-1, 1), 2))
+    results = []
+    exact_quotient = linalg._exact_quotient
+
+    def recording(a, b):
+        results.append((a, b, exact_quotient(a, b)))
+        return results[-1][2]
+
+    monkeypatch.setattr(linalg, "primes_below", _primes_from(q))
+    monkeypatch.setattr(linalg, "_exact_quotient", recording)
+    assert linalg._derivative_gcd(p) == (-1, 1)
+    dp = poly_derivative(p)
+    assert (p, (0, -1, 1)) == results[0][:2] and results[0][2] is not None
+    assert results[1] == (dp, (0, -1, 1), None)
+    assert distinct_root_count(p) == 3
+    assert squarefree_part(p) == poly_mul((0, 1), poly_mul((-q, 1), (-1, 1)))
+
+
 def test_squarefree_part_needs_a_divisor(monkeypatch):
-    monkeypatch.setattr(linalg, "poly_gcd", lambda p, q: (1, 1))  # x + 1
+    monkeypatch.setattr(linalg, "_derivative_gcd", lambda p: (1, 1))  # x + 1
     with pytest.raises(AssertionError, match="gcd does not divide"):
         squarefree_part((1, 0, 1))  # x^2 + 1
     # 3x^2 = (3/2)x * 2x: the quotient is not integral, though the remainder is 0
-    monkeypatch.setattr(linalg, "poly_gcd", lambda p, q: (0, 2))
+    monkeypatch.setattr(linalg, "_derivative_gcd", lambda p: (0, 2))
     with pytest.raises(AssertionError, match="gcd does not divide"):
         squarefree_part((0, 0, 3))
 

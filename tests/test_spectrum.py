@@ -18,7 +18,6 @@ from mainspectra import (
     main_eigenvalue_count,
     main_values,
     path,
-    poly_divides,
     rank_exact,
     star,
     t_lambda_tree,
@@ -28,6 +27,7 @@ from mainspectra import (
 from mainspectra.spectrum import QuadraticPair, TwoWalkParams
 
 from conftest import graphs
+from oracles import poly_divides
 
 
 def petersen():
