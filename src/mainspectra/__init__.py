@@ -8,9 +8,7 @@ from .census import (
     Convention,
     bundled_reference_rows,
     census_table,
-    classify_member,
     compare_to_reference,
-    enumerate_switching_class,
     verify_switching_invariance_exhaustive,
 )
 from .constructions import (
@@ -58,7 +56,6 @@ from .linalg import (
     char_polys,
     distinct_root_count,
     eigenvalues_float,
-    rank_exact,
     squarefree_part,
 )
 from .seidel import (
@@ -68,7 +65,6 @@ from .seidel import (
     seidel_report,
     seidel_reports,
     srg_params,
-    switch,
     verify_nonregular_structure,
 )
 from .spectrum import (
@@ -76,12 +72,10 @@ from .spectrum import (
     QuadraticPair,
     TwoWalkParams,
     analyze,
-    existence_check,
     harmonic_delta,
     main_eigenvalue_count,
     main_values,
     two_walk_params,
-    walk_matrix,
 )
 
 __version__ = "0.1.0"

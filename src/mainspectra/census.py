@@ -25,7 +25,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .graph6 import write_graph6
-from .graphs import Graph, degree_vector, induced_subgraph, is_connected
+from .graphs import Graph, induced_subgraph
 from .linalg import char_poly, primes_below
 from .seidel import (
     seidel_matrix,
@@ -34,7 +34,7 @@ from .seidel import (
     switch_mask,
     verify_nonregular_structure,
 )
-from .spectrum import QuadraticPair, two_walk_params
+from .spectrum import QuadraticPair
 
 MAX_CENSUS_VERTICES = 24
 # Members per kernel pass.  Larger blocks buy little speed at n=16 and cost
@@ -61,34 +61,7 @@ def _shift(convention: Convention) -> int:
     return 1 if convention is Convention.UP_TO_COMPLEMENT else 0
 
 
-def enumerate_switching_class(base: Graph, convention=Convention.UP_TO_COMPLEMENT):
-    """Yield (subset mask, member graph) in binary-counter order."""
-    _check_size(base.n)
-    shift = _shift(Convention(convention))
-    for sub in range(1 << (base.n - shift)):
-        yield sub << shift, switch_mask(base, sub << shift)
-
-
 Key = tuple  # (kind, alpha, beta, ((valency, multiplicity), ...), connected)
-
-
-def classify_member(g: Graph) -> Key:
-    """Census key of one graph: regular flag or exact (alpha, beta), the
-    valency multiset, and connectivity.
-
-    The single-graph reference for the batched kernel (`_BlockKernel.keys`)."""
-    degs = degree_vector(g)
-    connected = is_connected(g)
-    valencies = tuple(sorted(Counter(degs).items()))
-    if len(valencies) == 1:
-        return ("regular", None, None, valencies, connected)
-    tw = two_walk_params(g)
-    if tw is None:
-        raise ClassificationError(
-            "non-regular member without two-walk parameters: "
-            f"degrees {sorted(set(degs))}"
-        )
-    return ("nonregular", tw.alpha, tw.beta, valencies, connected)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +164,14 @@ class _BlockKernel:
         and the first vertex whose degree differs; regular members have
         q = p = b = 0.  The second array flags non-regular members failing
         that test.
+
+        This is `spectrum.two_walk_params` over a block, kept apart because
+        the traffic differs: analyze spends 20-30 ms per 3,000 corpus graphs
+        in two_walk_params, so batching it there gains nothing, while the
+        connectivity below squares dense n x n matrices, 10 of them at
+        n = 658 (about 0.25 s, as long as a whole large-exact pass).  The
+        bitset `seidel.switch_mask` and `graphs.is_connected` stay beside
+        the numpy versions here for the same reason.
         """
         bsz, n, _ = adj.shape
         deg_f = adj.sum(axis=2)
@@ -261,9 +242,9 @@ class _BlockKernel:
             )
 
 
-def _census_chunk(args) -> tuple[dict, int]:
-    """Integer-key counts of subsets start..stop-1 and the number of members
-    whose Seidel power sums were checked (targets None: unchecked)."""
+def _census_chunk(args) -> dict:
+    """Integer-key counts of subsets start..stop-1, each member's Seidel
+    power sums checked against the targets."""
     base_adj, shift, targets, start, stop = args
     kernel = _BlockKernel(base_adj, shift)
     out: dict[tuple, list] = {}
@@ -276,8 +257,7 @@ def _census_chunk(args) -> tuple[dict, int]:
                 f"non-regular member at subset {subs[i]} without two-walk "
                 f"parameters: degrees {degs}"
             )
-        if targets is not None:
-            kernel.check_power_sums(adj, subs, targets)
+        kernel.check_power_sums(adj, subs, targets)
         rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         for key, sub in zip(rows.tolist(), subs.tolist()):
             slot = out.get(key)
@@ -285,7 +265,7 @@ def _census_chunk(args) -> tuple[dict, int]:
                 out[key] = [1, sub]
             else:
                 slot[0] += 1
-    return out, 0 if targets is None else stop - start
+    return out
 
 
 def _merge(items) -> dict:
@@ -356,7 +336,7 @@ class CensusTable:
     convention: Convention
     rows: tuple
     totals: dict
-    # What verify checked: seidel_members_checked (members whose Seidel
+    # What the census checked: seidel_members_checked (members whose Seidel
     # power sums p_1..p_n were compared with the base's), structure_checks
     # ("ran" or "skipped") and structure_skip_reason (why, or None).
     verification: dict
@@ -411,7 +391,7 @@ def _structure_skip_reason(rep) -> str | None:
     return None
 
 
-def _expected_alpha(spectrum) -> Fraction | None:
+def _expected_alpha(spectrum) -> Fraction:
     # Trace identity: 0 = alpha + sum (m_i - 1) theta_i over the non-main part.
     tot = Fraction(0)
     for rho, mult in spectrum:
@@ -434,7 +414,7 @@ def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep) -> None:
             )
         return
     expected = _expected_alpha(base_rep.spectrum)
-    if expected is not None and row.alpha != expected:
+    if row.alpha != expected:
         raise ClassificationError(
             f"alpha {row.alpha} != {expected} forced by the Seidel spectrum"
         )
@@ -467,18 +447,17 @@ def census_table(
     base: Graph,
     convention=Convention.UP_TO_COMPLEMENT,
     workers: int = 1,
-    verify: bool = True,
 ) -> CensusTable:
     """Aggregate the full switching-class census of the base graph.
 
     Deterministic for any worker count: workers own disjoint subset ranges
-    and the merge adds exact counts keyed identically.  With verify=True
-    every member's Seidel power sums p_1..p_n are checked, inside the
-    workers, against those of the base's Seidel characteristic polynomial
-    (exactly in int64 for n <= 16, modulo primes whose product exceeds twice
-    the bound n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`),
-    and when the class is a non-trivial regular two-graph the representative
-    of every row is re-checked against the forced spectral structure.
+    and the merge adds exact counts keyed identically.  Every member's
+    Seidel power sums p_1..p_n are checked, inside the workers, against
+    those of the base's Seidel characteristic polynomial (exactly in int64
+    for n <= 16, modulo primes whose product exceeds twice the bound
+    n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`), and when
+    the class is a non-trivial regular two-graph the representative of
+    every row is re-checked against the forced spectral structure.
     ``verification`` on the result says what was checked and what skipped.
     """
     convention = Convention(convention)
@@ -487,8 +466,8 @@ def census_table(
         raise ValueError("workers must be >= 1")
     shift = _shift(convention)
     total = 1 << (base.n - shift)
-    base_rep = seidel_report(base) if verify else None
-    targets = _power_sum_targets(base_rep.seidel_char_poly) if verify else None
+    base_rep = seidel_report(base)
+    targets = _power_sum_targets(base_rep.seidel_char_poly)
     base_adj = np.array(base.adjacency_matrix(), dtype=np.float64)
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -499,7 +478,7 @@ def census_table(
             parts = pool.map(_census_chunk, jobs)
     merged = _merge(
         (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), count, rep)
-        for counts, _ in parts
+        for counts in parts
         for key, (count, rep) in counts.items()
     )
 
@@ -522,7 +501,7 @@ def census_table(
         "disconnected": sum(r.count for r in rows if not r.connected),
         "rows": len(rows),
     }
-    skip_reason = _structure_skip_reason(base_rep) if verify else "verify=False"
+    skip_reason = _structure_skip_reason(base_rep)
     if skip_reason is None:
         for row in rows:
             _verify_row(base, row, shift, base_rep)
@@ -532,7 +511,7 @@ def census_table(
         rows=rows,
         totals=totals,
         verification={
-            "seidel_members_checked": sum(checked for _, checked in parts),
+            "seidel_members_checked": total,
             "structure_checks": "skipped" if skip_reason else "ran",
             "structure_skip_reason": skip_reason,
         },

@@ -135,8 +135,7 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
     (q11, _), (q21, q22) = quotient_for(alpha, beta)
     assert q21 >= 1
     if q11 == 0 and q22 == 0:
-        out = star(q21 + 1)
-        return _validate_biregular(out, alpha, beta)
+        return _validated(star(q21 + 1), f"({alpha}, {beta}) realization", 2, alpha, beta)
     n2 = q22 + 1
     while True:
         n1 = n2 * q21
@@ -155,19 +154,23 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
     edges += _circulant_edges(n1, n2, q22)
     edges += [(i, n1 + i // q21) for i in range(n1)]
     out = graph_from_edges(n1 + n2, edges)
-    return _validate_biregular(out, alpha, beta)
+    return _validated(out, f"({alpha}, {beta}) realization", 2, alpha, beta)
 
 
-def _validate_biregular(g: Graph, alpha: int, beta: int) -> Graph:
+def _validated(g: Graph, name: str, classes: int, alpha: int, beta: int) -> Graph:
+    """g, after checking that it is connected, has `classes` valency
+    classes, is equitable over them and has two-walk parameters
+    (alpha, beta); RealizationError names it otherwise."""
     if not is_connected(g):
-        raise RealizationError(f"({alpha}, {beta}) realization is disconnected")
-    if len(set(degree_vector(g))) != 2:
-        raise RealizationError(f"({alpha}, {beta}) realization is not biregular")
-    if not is_equitable(g, valency_partition(g)):
-        raise RealizationError(f"({alpha}, {beta}) realization is not equitable")
+        raise RealizationError(f"{name} is disconnected")
+    blocks = valency_partition(g)
+    if len(blocks) != classes:
+        raise RealizationError(f"{name} has {len(blocks)} valency classes, not {classes}")
+    if not is_equitable(g, blocks):
+        raise RealizationError(f"{name} is not equitable")
     tw = two_walk_params(g)
     if tw != TwoWalkParams(Fraction(alpha), Fraction(beta)):
-        raise RealizationError(f"({alpha}, {beta}) realization has parameters {tw}")
+        raise RealizationError(f"{name} has parameters {tw}")
     return g
 
 
@@ -244,15 +247,7 @@ def three_valenced_boundary(alpha: int) -> Graph:
     edges += [(i, n12 + i) for i in range(n12)]
     edges += [(n12 + i, 2 * n12 + i // 3) for i in range(n12)]
     g = graph_from_edges(2 * n12 + n3, edges)
-    if not is_connected(g):
-        raise RealizationError(f"three-valenced boundary graph for alpha={alpha} disconnected")
-    blocks = valency_partition(g)
-    if len(blocks) != 3 or not is_equitable(g, blocks):
-        raise RealizationError(f"three-valenced boundary graph for alpha={alpha} not equitable")
-    tw = two_walk_params(g)
-    if tw != TwoWalkParams(Fraction(alpha), Fraction(beta)):
-        raise RealizationError(f"boundary graph for alpha={alpha} has parameters {tw}")
-    return g
+    return _validated(g, f"three-valenced boundary graph for alpha={alpha}", 3, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

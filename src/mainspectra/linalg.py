@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -23,50 +22,6 @@ Poly = tuple
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-def rank_exact(mat) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
-
-    Accepts int or Fraction entries; rows are scaled integral first, which
-    leaves the rank unchanged.
-    """
-    rows = []
-    width = None
-    for row in mat:
-        row = list(row)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
-    if not rows or width == 0:
-        return 0
-    nr, nc = len(rows), width
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, nr):
-            rc = rows[r][col]
-            rr = rows[r]
-            rp = rows[rank]
-            for c in range(col + 1, nc):
-                rr[c] = (rr[c] * pv - rc * rp[c]) // prev
-            rr[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nr:
-            break
-    return rank
 
 
 # char_poly's primes lie below this: p^2 < 2^52 keeps a reduced trace times

@@ -36,16 +36,6 @@ def seidel_matrix(g: Graph) -> list[list[int]]:
     ]
 
 
-def switch(g: Graph, subset) -> Graph:
-    """Complement all adjacencies between the subset and its complement."""
-    mask = 0
-    for v in subset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"subset element {v} outside vertex range")
-        mask |= 1 << v
-    return switch_mask(g, mask)
-
-
 def switch_mask(g: Graph, mask: int) -> Graph:
     full = (1 << g.n) - 1
     inv = full & ~mask
@@ -57,32 +47,22 @@ def switch_mask(g: Graph, mask: int) -> Graph:
 
 
 def is_strong(g: Graph) -> bool:
-    """Exact test of S^2 in <S, I, J>.
+    """Exact test of S^2 in <S, I, J>."""
+    return _is_strong(np.array(seidel_matrix(g), dtype=np.int64))
+
+
+def _is_strong(s: np.ndarray) -> bool:
+    """Strength of the graph with int64 Seidel matrix s.
 
     Diagonal entries of S^2 are constant (n-1), so the condition reduces to
-    the off-diagonal entries of S^2 being constant on edges and constant on
-    non-edges; missing classes (complete or empty graphs) impose nothing.
+    the off-diagonal entries of S^2 being constant on edges (S = -1) and
+    constant on non-edges (S = 1); an empty class imposes nothing.
     """
-    n = g.n
-    if n == 1:
-        return True
-    s = np.array(seidel_matrix(g), dtype=np.int64)
     s2 = s @ s
-    edge_val = None
-    nonedge_val = None
-    for v in range(n):
-        for u in range(v + 1, n):
-            val = int(s2[v, u])
-            if g.has_edge(u, v):
-                if edge_val is None:
-                    edge_val = val
-                elif edge_val != val:
-                    return False
-            else:
-                if nonedge_val is None:
-                    nonedge_val = val
-                elif nonedge_val != val:
-                    return False
+    for mark in (-1, 1):
+        values = s2[s == mark]
+        if values.size and (values != values[0]).any():
+            return False
     return True
 
 
@@ -143,13 +123,14 @@ def seidel_reports(graphs) -> list[SeidelReport]:
     reports = []
     for g, s, cp in zip(graphs, mats, char_polys(mats)):
         distinct, spectrum = _seidel_root_data(cp)
-        floats = np.linalg.eigvalsh(np.array(s, dtype=float)).tolist()
+        s = np.array(s, dtype=np.int64)
+        floats = np.linalg.eigvalsh(s.astype(float)).tolist()
         reports.append(
             SeidelReport(
                 n=g.n,
                 seidel_char_poly=cp,
                 distinct_seidel_count=distinct,
-                strong=is_strong(g),
+                strong=_is_strong(s),
                 regular_two_graph=g.n >= 2 and distinct == 2,
                 spectrum=spectrum,
                 float_spectrum=tuple(cluster_floats(sorted(floats))),

@@ -26,10 +26,6 @@ def fraction_to_json(f):
     return int(f) if f.denominator == 1 else str(f)
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(int(f)) if f.denominator == 1 else str(f)
-
-
 def _sqrt_if_square(f: Fraction) -> Fraction | None:
     if f < 0:
         return None
@@ -72,17 +68,14 @@ class QuadraticPair:
         disc = self.discriminant
         s = _sqrt_if_square(disc)
         if s is not None:
-            return (
-                _fraction_str((self.alpha + s) / 2),
-                _fraction_str((self.alpha - s) / 2),
-            )
+            return (str((self.alpha + s) / 2), str((self.alpha - s) / 2))
         half = self.alpha / 2
         quarter = disc / 4
         if quarter.denominator == 1:
-            a = _fraction_str(half)
+            a = str(half)
             return (f"{a}+sqrt({quarter})", f"{a}-sqrt({quarter})")
-        a = _fraction_str(self.alpha)
-        return (f"({a}+sqrt({_fraction_str(disc)}))/2", f"({a}-sqrt({_fraction_str(disc)}))/2")
+        a = str(self.alpha)
+        return (f"({a}+sqrt({disc}))/2", f"({a}-sqrt({disc}))/2")
 
     def to_json(self) -> dict:
         mu0, mu1 = self.floats()
@@ -134,14 +127,6 @@ def _apply_adjacency(g: Graph, vec) -> list[int]:
             row ^= low
         out.append(acc)
     return out
-
-
-def walk_matrix(g: Graph) -> list[list[int]]:
-    """n x n integer matrix whose column i is A^i applied to the all-ones vector."""
-    cols = [[1] * g.n]
-    for _ in range(g.n - 1):
-        cols.append(_apply_adjacency(g, cols[-1]))
-    return [[cols[j][i] for j in range(g.n)] for i in range(g.n)]
 
 
 def main_eigenvalue_count(g: Graph) -> int:
@@ -205,23 +190,18 @@ def main_values(params: TwoWalkParams) -> QuadraticPair:
 
 def harmonic_delta(g: Graph) -> Fraction | None:
     """The delta with A d = delta d, if any; regular graphs return their valency."""
-    d = degree_vector(g)
-    pivot = next((v for v in range(g.n) if d[v]), None)
-    if pivot is None:
-        return Fraction(0)
-    ad = _apply_adjacency(g, d)
-    delta = Fraction(ad[pivot], d[pivot])
-    for v in range(g.n):
-        if ad[v] != delta * d[v]:
-            return None
-    return delta
+    return _harmonic_delta(degree_vector(g), two_walk_params(g))
 
 
-def existence_check(alpha: int, beta: int) -> bool:
-    """Is some connected graph 2-walk (alpha, beta)-linear, for integer inputs?"""
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    return alpha * alpha + 4 * beta >= 4 and (alpha, beta) != (0, 1)
+def _harmonic_delta(d: list[int], tw: TwoWalkParams | None) -> Fraction | None:
+    """Harmonicity as the beta = 0 case of the two-walk decision.
+
+    A non-regular graph has d outside span(j), so A d = delta d puts A d in
+    span(d, j) with beta = 0, and the coefficients there are unique.
+    """
+    if tw is None:
+        return Fraction(d[0]) if len(set(d)) == 1 else None
+    return tw.alpha if tw.beta == 0 else None
 
 
 def _adjacency_float(g: Graph) -> np.ndarray:
@@ -248,7 +228,7 @@ def analyze(g: Graph) -> MainSpectrumReport:
         regular=regular,
         main_count=k,
         two_walk=tw,
-        harmonic_delta=harmonic_delta(g),
+        harmonic_delta=_harmonic_delta(d, tw),
         main_values=mv,
         spectral_radius=rho,
     )

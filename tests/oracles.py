@@ -5,15 +5,29 @@ check the package against them.
   Fractions, for any partition.
 - poly_gcd: the primitive pseudo-remainder sequence.
 - poly_divmod / poly_divides: long division over the rationals.
+- rank_exact: rank over the rationals by fraction-free elimination of the
+  whole matrix; the walk-rank and strong-graph reference.
+- walk_matrix: the full walk matrix (columns j, Aj, A^2 j, ...).
+- existence_check: which integer pairs (alpha, beta) some connected graph
+  realizes.
+- harmonic_delta_walk: the delta with A d = delta d from its own Fraction
+  walk, independent of the two-walk test.
+- switch / enumerate_switching_class / classify_member: one member at a
+  time, on bitset graphs; the census kernel's reference.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mainspectra.census import ClassificationError, Convention, _check_size
+from mainspectra.graphs import Graph, degree_vector, is_connected
 from mainspectra.linalg import Poly, poly_primitive, poly_trim
-from mainspectra.spectrum import fraction_to_json
+from mainspectra.seidel import switch_mask
+from mainspectra.spectrum import fraction_to_json, two_walk_params
 
 
 @dataclass(frozen=True)
@@ -112,3 +126,115 @@ def poly_divides(p, q) -> tuple[bool, Poly | None]:
     if all(isinstance(c, Fraction) and c.denominator == 1 for c in quo):
         quo = tuple([int(c) for c in quo])
     return True, quo
+
+
+def rank_exact(mat) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Accepts int or Fraction entries; rows are scaled integral first, which
+    leaves the rank unchanged.
+    """
+    rows = []
+    width = None
+    for row in mat:
+        row = list(row)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("ragged matrix")
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                den = den * x.denominator // math.gcd(den, x.denominator)
+        rows.append([int(x * den) for x in row])
+    if not rows or width == 0:
+        return 0
+    nr, nc = len(rows), width
+    rank = 0
+    prev = 1
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, nr):
+            rc = rows[r][col]
+            rr = rows[r]
+            rp = rows[rank]
+            for c in range(col + 1, nc):
+                rr[c] = (rr[c] * pv - rc * rp[c]) // prev
+            rr[col] = 0
+        prev = pv
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def _apply_adjacency(g: Graph, vec) -> list[int]:
+    return [sum(vec[u] for u in g.neighbors(v)) for v in range(g.n)]
+
+
+def walk_matrix(g: Graph) -> list[list[int]]:
+    """n x n integer matrix whose column i is A^i applied to the all-ones vector."""
+    cols = [[1] * g.n]
+    for _ in range(g.n - 1):
+        cols.append(_apply_adjacency(g, cols[-1]))
+    return [[cols[j][i] for j in range(g.n)] for i in range(g.n)]
+
+
+def existence_check(alpha: int, beta: int) -> bool:
+    """Is some connected graph 2-walk (alpha, beta)-linear, for integer inputs?"""
+    if alpha < 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    return alpha * alpha + 4 * beta >= 4 and (alpha, beta) != (0, 1)
+
+
+def harmonic_delta_walk(g: Graph) -> Fraction | None:
+    """The delta with A d = delta d, if any; regular graphs return their valency."""
+    d = degree_vector(g)
+    pivot = next((v for v in range(g.n) if d[v]), None)
+    if pivot is None:
+        return Fraction(0)
+    ad = _apply_adjacency(g, d)
+    delta = Fraction(ad[pivot], d[pivot])
+    for v in range(g.n):
+        if ad[v] != delta * d[v]:
+            return None
+    return delta
+
+
+def switch(g: Graph, subset) -> Graph:
+    """Complement all adjacencies between the subset and its complement."""
+    mask = 0
+    for v in subset:
+        if not 0 <= v < g.n:
+            raise ValueError(f"subset element {v} outside vertex range")
+        mask |= 1 << v
+    return switch_mask(g, mask)
+
+
+def enumerate_switching_class(base: Graph, convention=Convention.UP_TO_COMPLEMENT):
+    """Yield (subset mask, member graph) in binary-counter order."""
+    _check_size(base.n)
+    shift = 1 if Convention(convention) is Convention.UP_TO_COMPLEMENT else 0
+    for sub in range(1 << (base.n - shift)):
+        yield sub << shift, switch_mask(base, sub << shift)
+
+
+def classify_member(g: Graph) -> tuple:
+    """Census key of one graph: regular flag or exact (alpha, beta), the
+    valency multiset, and connectivity."""
+    degs = degree_vector(g)
+    connected = is_connected(g)
+    valencies = tuple(sorted(Counter(degs).items()))
+    if len(valencies) == 1:
+        return ("regular", None, None, valencies, connected)
+    tw = two_walk_params(g)
+    if tw is None:
+        raise ClassificationError(
+            "non-regular member without two-walk parameters: "
+            f"degrees {sorted(set(degs))}"
+        )
+    return ("nonregular", tw.alpha, tw.beta, valencies, connected)

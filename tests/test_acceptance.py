@@ -43,9 +43,11 @@ from mainspectra import (
     verify_nonregular_structure,
     verify_switching_invariance_exhaustive,
 )
-from mainspectra.census import classify_member, valencies_str
+from mainspectra.census import valencies_str
 from mainspectra.linalg import poly_mul, poly_pow
 from mainspectra.seidel import switch_mask
+
+from oracles import classify_member
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -60,7 +62,7 @@ def base16():
 @pytest.fixture(scope="session")
 def census_run(base16):
     t0 = time.perf_counter()
-    table = census_table(base16, Convention.UP_TO_COMPLEMENT, workers=1, verify=True)
+    table = census_table(base16, Convention.UP_TO_COMPLEMENT, workers=1)
     elapsed = time.perf_counter() - t0
     return table, elapsed
 
@@ -273,11 +275,12 @@ def test_criterion_9_worker_determinism(base16, census_run):
     table1, _ = census_run
     csv1 = table1.to_csv()
     for workers in (4, 8):
-        other = census_table(
-            base16, Convention.UP_TO_COMPLEMENT, workers=workers, verify=False
-        ).to_csv()
-        assert other == csv1, f"CSV differs with {workers} workers"
-    print("\n[acceptance] criterion 9: PASS (byte-identical CSV for 1, 4, 8 workers)")
+        other = census_table(base16, Convention.UP_TO_COMPLEMENT, workers=workers)
+        assert other.to_csv() == csv1, f"CSV differs with {workers} workers"
+        assert other.verification == table1.verification, (
+            f"verification differs with {workers} workers"
+        )
+    print("\n[acceptance] criterion 9: PASS (same CSV and verification for 1, 4, 8 workers)")
 
 
 def test_exhaustive_switching_invariance(base16):
@@ -291,7 +294,7 @@ def test_census_relabel_invariance(base16, census_run):
 
     table, _ = census_run
     perm = [(5 * v + 3) % 16 for v in range(16)]
-    scrambled = census_table(relabel(base16, perm), verify=False)
+    scrambled = census_table(relabel(base16, perm))
     strip = lambda t: [
         (r.kind, r.alpha, r.beta, r.valencies, r.connected, r.count) for r in t.rows
     ]

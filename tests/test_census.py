@@ -12,14 +12,11 @@ from mainspectra import (
     bundled_reference_rows,
     census_table,
     char_poly,
-    classify_member,
     compare_to_reference,
     complete,
     cycle,
-    enumerate_switching_class,
     graph_from_edges,
     relabel,
-    switch,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
 )
@@ -34,7 +31,7 @@ from mainspectra.census import (
 )
 from mainspectra.seidel import seidel_matrix, switch_mask
 
-from oracles import poly_divides
+from oracles import classify_member, enumerate_switching_class, poly_divides, switch
 
 
 def test_enumerate_k2():
@@ -90,7 +87,7 @@ def test_classify_aborts_on_contradiction():
 
 def test_census_matches_streaming_enumeration():
     base = complete(4)
-    table = census_table(base, verify=True)
+    table = census_table(base)
     counts = {}
     for _, g in enumerate_switching_class(base):
         key = classify_member(g)
@@ -250,13 +247,13 @@ def test_batched_keys_match_oracle_on_small_bases(all_n_le_7, convention):
         bad = [sub for sub, key in oracle.items() if key is None]
         if bad:
             with pytest.raises(ClassificationError, match=rf"at subset {bad[0]} "):
-                census_table(base, convention, verify=False)
+                census_table(base, convention)
             continue
         expected = {}
         for sub, key in oracle.items():
             count, rep = expected.get(key, (0, sub))
             expected[key] = (count + 1, rep)
-        assert _rows_of(census_table(base, convention, verify=False)) == expected
+        assert _rows_of(census_table(base, convention)) == expected
         checked = verify_switching_invariance_exhaustive(base, convention)
         assert checked == len(oracle)
 
@@ -311,12 +308,6 @@ def test_verification_reports_skipped_structure_checks(base, reason):
     assert record["structure_checks"] == "skipped"
     assert record["structure_skip_reason"].startswith(reason)
     assert record["seidel_members_checked"] == 1 << (base.n - 1)
-    record = census_table(base, verify=False).verification
-    assert record == {
-        "seidel_members_checked": 0,
-        "structure_checks": "skipped",
-        "structure_skip_reason": "verify=False",
-    }
 
 
 def _corrupt(monkeypatch, subset):

@@ -30,7 +30,7 @@ from mainspectra import (
 from mainspectra.constructions import quotient_for
 from mainspectra.spectrum import TwoWalkParams
 
-from oracles import quotient_matrix
+from oracles import classify_member, quotient_matrix
 
 
 def tw(alpha, beta):
@@ -240,7 +240,6 @@ def is_connected_without(g, a, b):
 
 def test_splice_two_census_members():
     # two non-isomorphic (8, -9) members splice into an (8, -9) graph on 32 vertices
-    from mainspectra.census import classify_member
     from mainspectra.constructions import _without_edge
     from mainspectra.seidel import switch_mask
 

@@ -13,7 +13,6 @@ from mainspectra import (
     distinct_root_count,
     eigenvalues_float,
     path,
-    rank_exact,
     refine_to_equitable,
     seidel_matrix,
     squarefree_part,
@@ -33,7 +32,7 @@ from mainspectra.linalg import (
 )
 from mainspectra.seidel import switch_mask
 
-from oracles import poly_divides, poly_gcd, quotient_matrix
+from oracles import poly_divides, poly_gcd, quotient_matrix, rank_exact
 
 
 # -- oracles -----------------------------------------------------------------

@@ -12,17 +12,16 @@ from mainspectra import (
     graph_from_edges,
     is_strong,
     path,
-    rank_exact,
     seidel_matrix,
     seidel_report,
     seidel_reports,
     srg_params,
-    switch,
     symplectic_graph,
     verify_nonregular_structure,
 )
 
 from conftest import graphs
+from oracles import rank_exact, switch
 
 
 # -- independent strong-graph oracle ------------------------------------------

@@ -12,22 +12,26 @@ from mainspectra import (
     cone,
     cycle,
     degree_vector,
-    existence_check,
     graph_from_edges,
     harmonic_delta,
     main_eigenvalue_count,
     main_values,
     path,
-    rank_exact,
     star,
     t_lambda_tree,
+    three_valenced_boundary,
     two_walk_params,
-    walk_matrix,
 )
 from mainspectra.spectrum import QuadraticPair, TwoWalkParams
 
 from conftest import graphs
-from oracles import poly_divides
+from oracles import (
+    existence_check,
+    harmonic_delta_walk,
+    poly_divides,
+    rank_exact,
+    walk_matrix,
+)
 
 
 def petersen():
@@ -131,6 +135,20 @@ def test_harmonic_examples():
     assert harmonic_delta(graph_from_edges(2, [])) == 0
 
 
+def test_harmonic_delta_matches_oracle(all_n_le_7, connected_n_le_8):
+    # the beta = 0 case of the two-walk decision against a Fraction walk of
+    # its own: the same value and the same type on every graph
+    families = [t_lambda_tree(lam) for lam in range(2, 6)]
+    families += [three_valenced_boundary(alpha) for alpha in (4, 6, 8, 10)]
+    nonregular_harmonic = 0
+    for g in all_n_le_7 + connected_n_le_8 + families:
+        delta = harmonic_delta(g)
+        want = harmonic_delta_walk(g)
+        assert delta == want and type(delta) is type(want), f"{g!r}: {delta!r} != {want!r}"
+        nonregular_harmonic += delta is not None and len(set(degree_vector(g))) > 1
+    assert nonregular_harmonic == 41  # entries, the four trees among them
+
+
 def test_existence_check():
     assert not existence_check(0, 1)
     assert existence_check(2, 0)
@@ -224,7 +242,7 @@ def test_mu0_is_spectral_radius_when_connected(g):
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=2, max_n=7))
 def test_nonregular_harmonic_has_beta_zero(g):
-    delta = harmonic_delta(g)
+    delta = harmonic_delta_walk(g)
     if delta is None or len(set(degree_vector(g))) == 1:
         return
     assert two_walk_params(g) == TwoWalkParams(delta, Fraction(0))
