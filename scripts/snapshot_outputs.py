@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Write every CLI output whose bytes a change must keep, for `diff -r`.
+
+Runs this checkout's own `src/` (as `python -m mainspectra` with
+PYTHONPATH=src) and writes into OUT_DIR:
+
+  analyze/   analyze --seidel --equitable --format json, and --format csv,
+             on each data/*.g6
+  census/    census CSV (with --reference bundled --audit), the audit file
+             and --format json, under both conventions, workers 1 and 2
+  construct/ construct --format json for every recipe (inputs/ holds the
+             input graphs of cone and splice-chain)
+  large/     the large-exact inputs of perfbench/run.py --setup-only for
+             two seeds, and analyze on them as that workload runs it
+
+Each command leaves NAME.out (stdout) and NAME.err (stderr and the exit
+code).  The vertex cap is raised to 1024, as perfbench does, so the larger
+constructions (t_lambda_tree(6) has 187 vertices) are built.  Snapshot two
+checkouts into two directories; an empty `diff -r` between them means the
+outputs are byte-identical.
+
+Usage: python scripts/snapshot_outputs.py OUT_DIR
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LARGE_SEEDS = (1011, 1012)
+ANALYZE_JSON = ["analyze", "--seidel", "--equitable", "--format", "json"]
+
+
+def run(out: Path, name: str, argv: list[str], command=None) -> None:
+    """Run one command from the repository root; keep its stdout, stderr
+    and exit code under out/name."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MAINSPECTRA_VERTEX_CAP="1024")
+    command = command or [sys.executable, "-m", "mainspectra"]
+    proc = subprocess.run(command + argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    (out / f"{name}.out").write_text(proc.stdout)
+    (out / f"{name}.err").write_text(f"{proc.stderr}exit {proc.returncode}\n")
+    print(f"{out.name}/{name}: exit {proc.returncode}", flush=True)
+
+
+def analyze_outputs(out: Path) -> None:
+    for path in sorted((ROOT / "data").glob("*.g6")):
+        run(out, f"{path.stem}.json", ANALYZE_JSON + [str(path)])
+        run(out, f"{path.stem}.csv", ["analyze", "--format", "csv", str(path)])
+
+
+def census_outputs(out: Path) -> None:
+    for convention in ("up-to-complement", "all-subsets"):
+        for workers in ("1", "2"):
+            name = f"{convention}.w{workers}"
+            common = ["census", "--convention", convention, "--workers", workers,
+                      "--reference", "bundled"]
+            run(out, f"{name}.csv", common + ["--audit", str(out / f"{name}.audit.json")])
+            run(out, f"{name}.json", common + ["--format", "json"])
+
+
+def construct_outputs(out: Path, inputs: Path) -> None:
+    (inputs / "c5.g6").write_text("Dhc\n")
+    (inputs / "cone_c4.g6").write_text("Dl{\n")  # the cone over C4, hub at 4
+    recipes = {f"t-lambda.{lam}": ["t-lambda", "--lam", str(lam)] for lam in range(2, 7)}
+    recipes["cone.c5"] = ["cone", str(inputs / "c5.g6")]
+    # the last pair is on the boundary: exit 1 with the impossibility certificate
+    for alpha, beta in ((0, 2), (1, 1), (2, 1), (3, 0), (4, -2), (8, -9), (10, 5), (2, 0)):
+        recipes[f"biregular.{alpha}.{beta}"] = ["biregular", "--alpha", str(alpha),
+                                                "--beta", str(beta)]
+    for alpha in (4, 6, 8, 10):
+        recipes[f"boundary3.{alpha}"] = ["boundary3", "--alpha", str(alpha)]
+    recipes["symplectic.1"] = ["symplectic", "--r", "1"]
+    recipes["symplectic.2.component"] = ["symplectic", "--r", "2", "--component"]
+    for k in (1, 2, 3, 5):
+        recipes[f"splice-chain.{k}"] = ["splice-chain", str(inputs / "cone_c4.g6"),
+                                        "--edge", "4,0", "--k", str(k)]
+    for name, argv in recipes.items():
+        run(out, name, ["construct", *argv, "--format", "json"])
+
+
+def large_outputs(out: Path) -> None:
+    for seed in LARGE_SEEDS:
+        work = out / f"inputs-{seed}"
+        work.mkdir()
+        run(out, f"setup-{seed}",
+            ["--workload", "large-exact", "--seed", str(seed), "--setup-only", str(work)],
+            command=[sys.executable, str(ROOT / "perfbench" / "run.py")])
+        for path in sorted(work.glob("sp64-*.g6")):
+            run(out, f"{seed}.{path.stem}", ANALYZE_JSON + [str(path)])
+        for part in ("t_lambda", "biregular", "boundary_splice"):
+            run(out, f"{seed}.{part}",
+                ["analyze", "--equitable", "--format", "json", str(work / f"{part}.g6")])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir", type=Path, help="a new or empty directory")
+    out = parser.parse_args().out_dir.resolve()
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    for section in ("analyze", "census", "construct", "inputs", "large"):
+        (out / section).mkdir(parents=True)
+    analyze_outputs(out / "analyze")
+    census_outputs(out / "census")
+    construct_outputs(out / "construct", out / "inputs")
+    large_outputs(out / "large")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -134,7 +135,7 @@ class _BlockKernel:
 
     def __init__(self, base_adj: np.ndarray, shift: int):
         n = base_adj.shape[0]
-        self.base_adj = base_adj
+        self.base_adj = base_adj.astype(np.float64)
         self.shift = shift
         self.vertex = np.arange(n)
         # low and high hold consecutive Seidel powers, and serve keys() as
@@ -450,15 +451,16 @@ def census_table(
 ) -> CensusTable:
     """Aggregate the full switching-class census of the base graph.
 
-    Deterministic for any worker count: workers own disjoint subset ranges
-    and the merge adds exact counts keyed identically.  Every member's
-    Seidel power sums p_1..p_n are checked, inside the workers, against
-    those of the base's Seidel characteristic polynomial (exactly in int64
-    for n <= 16, modulo primes whose product exceeds twice the bound
-    n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`), and when
-    the class is a non-trivial regular two-graph the representative of
-    every row is re-checked against the forced spectral structure.
-    ``verification`` on the result says what was checked and what skipped.
+    Deterministic for any worker count: the subsets split into `workers`
+    disjoint ranges, run on at most one process per CPU, and the merge adds
+    exact counts keyed identically.  Every member's Seidel power sums
+    p_1..p_n are checked, inside the workers, against those of the base's
+    Seidel characteristic polynomial (exactly in int64 for n <= 16, modulo
+    primes whose product exceeds twice the bound n^2 (n-1)^(n-2) for
+    17 <= n <= 24; see `_power_sum_moduli`), and when the class is a
+    non-trivial regular two-graph the representative of every row is
+    re-checked against the forced spectral structure.  ``verification`` on
+    the result says what was checked and what skipped.
     """
     convention = Convention(convention)
     _check_size(base.n)
@@ -468,13 +470,13 @@ def census_table(
     total = 1 << (base.n - shift)
     base_rep = seidel_report(base)
     targets = _power_sum_targets(base_rep.seidel_char_poly)
-    base_adj = np.array(base.adjacency_matrix(), dtype=np.float64)
+    base_adj = base.adjacency_matrix()
     bounds = [total * i // workers for i in range(workers + 1)]
     jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(workers)]
     if workers == 1:
         parts = [_census_chunk(jobs[0])]
     else:
-        with get_context("fork").Pool(workers) as pool:
+        with get_context("fork").Pool(min(workers, os.cpu_count() or 1)) as pool:
             parts = pool.map(_census_chunk, jobs)
     merged = _merge(
         (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), count, rep)
@@ -537,7 +539,7 @@ def verify_switching_invariance_exhaustive(
     shift = _shift(convention)
     total = 1 << (base.n - shift)
     targets = _power_sum_targets(char_poly(seidel_matrix(base)))
-    kernel = _BlockKernel(np.array(base.adjacency_matrix(), dtype=np.float64), shift)
+    kernel = _BlockKernel(base.adjacency_matrix(), shift)
     for subs, adj in kernel.blocks(0, total):
         kernel.check_power_sums(adj, subs, targets)
     return total

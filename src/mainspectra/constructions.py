@@ -278,6 +278,8 @@ def _without_edge(g: Graph, u: int, v: int) -> Graph:
 
 def _check_splice_side(g: Graph, edge, name: str) -> None:
     x, y = edge
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise SpliceError(f"{name}: ({x}, {y}) has an endpoint outside 0..{g.n - 1}")
     if not g.has_edge(x, y):
         raise SpliceError(f"{name}: ({x}, {y}) is not an edge")
     if not is_connected(_without_edge(g, x, y)):

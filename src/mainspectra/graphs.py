@@ -12,6 +12,8 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 DEFAULT_VERTEX_CAP = 128
 CAP_ENV_VAR = "MAINSPECTRA_VERTEX_CAP"
 
@@ -25,6 +27,12 @@ def vertex_cap() -> int:
     if cap < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap
+
+
+def _check_vertex_count(n: int) -> None:
+    cap = vertex_cap()
+    if not 1 <= n <= cap:
+        raise ValueError(f"vertex count {n} outside 1..{cap} (set {CAP_ENV_VAR} to raise the cap)")
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -46,12 +54,7 @@ class Graph:
     def __init__(self, n: int, rows: Iterable[int], _validate: bool = True):
         rows = tuple(rows)
         if _validate:
-            cap = vertex_cap()
-            if not 1 <= n <= cap:
-                raise ValueError(
-                    f"vertex count {n} outside 1..{cap} "
-                    f"(set {CAP_ENV_VAR} to raise the cap)"
-                )
+            _check_vertex_count(n)
             if len(rows) != n:
                 raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
             full = (1 << n) - 1
@@ -87,8 +90,12 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        return [[(self.rows[v] >> u) & 1 for u in range(self.n)] for v in range(self.n)]
+    def adjacency_matrix(self) -> np.ndarray:
+        """The int64 adjacency matrix, unpacked from the row bitsets."""
+        width = (self.n + 7) // 8
+        packed = b"".join([row.to_bytes(width, "little") for row in self.rows])
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(self.n, width)
+        return np.unpackbits(bits, axis=1, count=self.n, bitorder="little").astype(np.int64)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -102,6 +109,7 @@ class Graph:
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse."""
+    _check_vertex_count(n)  # before the rows are allocated
     rows = [0] * n
     for u, v in edges:
         if u == v:

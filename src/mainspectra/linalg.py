@@ -59,13 +59,13 @@ def primes_below(top: int) -> Iterator[int]:
         i += 1
 
 
-def _coefficient_bound(rows) -> int:
-    """prod(1 + ceil(r_i)) over the Euclidean row norms r_i (see char_poly)."""
-    bound = 1
-    for row in rows:
-        sq = sum(map(mul, row, row))
-        bound *= 2 + math.isqrt(sq - 1) if sq else 1  # ceil(sqrt(sq)) = isqrt(sq - 1) + 1
-    return bound
+def _coefficient_bound(stack) -> int:
+    """The largest prod(1 + ceil(r_i)) in an int64 stack, r_i a matrix's
+    Euclidean row norms (see char_polys); row sums <= 2^26 keep r_i^2 < 2^52."""
+    return max(  # ceil(sqrt(sq)) = isqrt(sq - 1) + 1
+        math.prod(2 + math.isqrt(sq - 1) if sq else 1 for sq in norms)
+        for norms in np.einsum("bij,bij->bi", stack, stack).tolist()
+    )
 
 
 @lru_cache(maxsize=64)
@@ -98,6 +98,9 @@ def char_poly(mat) -> Poly:
 def char_polys(mats) -> list[Poly]:
     """det(xI - M) for each integer square matrix M, exact coefficients.
 
+    Each M is a 2-D integer array (or int rows) with absolute row sums at
+    most 2^26, as every graph matrix is; anything else raises ValueError.
+
     Faddeev-LeVerrier, M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k
     from M_0 = 0, c_0 = 1, run modulo several primes p > n at once; k^-1
     exists modulo each p.  Matrices of one order are stacked, so each step
@@ -118,52 +121,53 @@ def char_polys(mats) -> list[Poly]:
     residues lie in [-2, p + 2] (c_k alone is reduced exactly into [0, p)).
     The entries of M_(k-1) + c_(k-1) I then lie in [-2, 2p + 1], and every
     partial sum of a product row by column is at most w (2p + 1), with w
-    the largest absolute row sum of the A used.  The primes lie below 2^26,
-    so w <= 2^26 keeps these sums below 2^53 with A as given; a larger w is
-    met by reducing A modulo each prime into [0, p), so w <= n (p - 1), and
-    taking the primes below sqrt(2^52 / n).  Traces stay below n (p + 2),
-    and a reduced trace times k^-1 below p^2 < 2^52.  Such matrices form
-    stacks of their own.
+    the largest absolute row sum of A.  The primes lie below 2^26, so
+    w <= 2^26 keeps these sums below 2^53.  Traces stay below n (p + 2),
+    and a reduced trace times k^-1 below p^2 < 2^52.
     """
-    mats = [[list(map(int, row)) for row in mat] for mat in mats]
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, rows in enumerate(mats):
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+    mats = [np.asarray(mat) for mat in mats]
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(mats):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix is not square")
-        wide = any(sum(map(abs, row)) > _PRIME_TOP for row in rows)
-        groups.setdefault((n, wide), []).append(i)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"matrix entries are not int64 integers: dtype {a.dtype}")
+        groups.setdefault(len(a), []).append(i)
     out: list[Poly] = [()] * len(mats)
-    for (n, reduced), members in groups.items():
-        top = math.isqrt((1 << 52) // n) if reduced else _PRIME_TOP
-        bound = 2 * max(_coefficient_bound(mats[i]) for i in members)
-        moduli = _moduli(n, top, bound)
+    for n, members in groups.items():
+        stack = np.stack([mats[i] for i in members])
+        # every entry first: np.abs of the int64 minimum is negative
+        if (stack > _PRIME_TOP).any() or (stack < -_PRIME_TOP).any():
+            raise ValueError("matrix entry beyond 2^26 in absolute value")
+        stack = stack.astype(np.int64, copy=False)
+        if (np.abs(stack).sum(axis=2) > _PRIME_TOP).any():
+            raise ValueError("matrix has an absolute row sum above 2^26")
+        moduli = _moduli(n, 2 * _coefficient_bound(stack))
         size = max(1, _STACK_ELEMENTS // (3 * len(moduli) * n * n or 1))
         for s in range(0, len(members), size):
-            stack = members[s:s + size]
-            polys = _char_poly_stack([mats[i] for i in stack], moduli, reduced)
-            for i, poly in zip(stack, polys):
+            polys = _char_poly_stack(stack[s:s + size], moduli)
+            for i, poly in zip(members[s:s + size], polys):
                 out[i] = poly
     return out
 
 
-def _moduli(n: int, top: int, bound: int) -> list[int]:
-    """The fewest primes in (n, top) whose product exceeds bound, then one
-    more: the check prime."""
+def _moduli(n: int, bound: int) -> list[int]:
+    """The fewest primes in (n, _PRIME_TOP) whose product exceeds bound,
+    then one more: the check prime."""
     moduli: list[int] = []
     product = 1
-    for q in primes_below(top):
+    for q in primes_below(_PRIME_TOP):
         if q <= n:
             break
         moduli.append(q)
         if product > bound:  # q is the check prime
             return moduli
         product *= q
-    raise ValueError(f"too few primes in {n + 1}..{top - 1} for an exact char_poly")
+    raise ValueError(f"too few primes in {n + 1}..{_PRIME_TOP - 1} for an exact char_poly")
 
 
-def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
-    """char_polys on one stack of same-order integer matrices (row lists):
+def _char_poly_stack(stack: np.ndarray, moduli: list[int]) -> list[Poly]:
+    """char_polys on one int64 stack (batch, n, n) of same-order matrices:
     the residues modulo every prime, then CRT and the check prime.
 
     The primes run in groups whose lanes fit _STACK_ELEMENTS: one group,
@@ -172,7 +176,7 @@ def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
     batch, n = len(stack), len(stack[0])
     group = max(1, _STACK_ELEMENTS // (3 * batch * n * n or 1))
     p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
-    a = None if reduced else np.array(stack, dtype=np.float64).reshape(batch, 1, n, n)
+    a = stack.astype(np.float64).reshape(batch, 1, n, n)
     by_matrix = np.concatenate([
         _residues(stack, a, moduli[s:s + group], p[s:s + group], negated_inverses[:, s:s + group])
         for s in range(0, len(moduli), group)
@@ -196,19 +200,14 @@ def _char_poly_stack(stack, moduli: list[int], reduced: bool) -> list[Poly]:
 def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
     """The char_poly coefficients c_0..c_n of each matrix of the stack
     modulo each prime, as an int64 array (matrix, k, prime).  a is the
-    stack as float64 (batch, 1, n, n), or None to reduce it modulo each
-    prime; p and negated_inverses are the primes' _modular_constants.
+    stack as float64 (batch, 1, n, n); p and negated_inverses are the
+    primes' _modular_constants.
 
     Each (matrix, prime) pair is a lane; the matmul sees the lanes as
     (matrix, prime) and every other step as one flat axis.
     """
     batch, n, count = len(stack), len(stack[0]), len(moduli)
     lanes = batch * count
-    if a is None:
-        a = np.array(
-            [[[[x % q for x in row] for row in rows] for q in moduli] for rows in stack],
-            dtype=np.float64,
-        ).reshape(batch, count, n, n)
     if batch > 1:  # one row of constants per lane, matrix-major
         p = np.tile(p, (batch, 1))
         negated_inverses = np.tile(negated_inverses, (1, batch, 1))
@@ -237,12 +236,11 @@ def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
 
 
 def eigenvalues_float(mat) -> list[float]:
-    """Sorted float eigenvalues of a symmetric integer matrix, given as rows
-    or as an array (cross-check only)."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    """Sorted float eigenvalues of a symmetric integer matrix, given as an
+    array or as rows (cross-check only)."""
+    a = np.asarray(mat, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix is not square")
-    a = np.asarray(mat, dtype=np.float64).reshape(n, n)
     if (a != a.T).any():
         i, j = np.argwhere(np.triu(a != a.T))[0].tolist()
         raise ValueError(f"matrix not symmetric at ({i}, {j})")

@@ -28,12 +28,11 @@ from .linalg import (
 from .spectrum import TwoWalkParams, two_walk_params
 
 
-def seidel_matrix(g: Graph) -> list[list[int]]:
-    n = g.n
-    return [
-        [0 if u == v else (-1 if (row >> u) & 1 else 1) for u in range(n)]
-        for v, row in enumerate(g.rows)
-    ]
+def seidel_matrix(g: Graph) -> np.ndarray:
+    """S = J - I - 2A as an int64 array."""
+    s = 1 - 2 * g.adjacency_matrix()
+    np.fill_diagonal(s, 0)
+    return s
 
 
 def switch_mask(g: Graph, mask: int) -> Graph:
@@ -48,7 +47,7 @@ def switch_mask(g: Graph, mask: int) -> Graph:
 
 def is_strong(g: Graph) -> bool:
     """Exact test of S^2 in <S, I, J>."""
-    return _is_strong(np.array(seidel_matrix(g), dtype=np.int64))
+    return _is_strong(seidel_matrix(g))
 
 
 def _is_strong(s: np.ndarray) -> bool:
@@ -123,7 +122,6 @@ def seidel_reports(graphs) -> list[SeidelReport]:
     reports = []
     for g, s, cp in zip(graphs, mats, char_polys(mats)):
         distinct, spectrum = _seidel_root_data(cp)
-        s = np.array(s, dtype=np.int64)
         floats = np.linalg.eigvalsh(s.astype(float)).tolist()
         reports.append(
             SeidelReport(

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import Graph, degree_vector, is_connected
 from .linalg import eigenvalues_float
 
@@ -204,14 +202,6 @@ def _harmonic_delta(d: list[int], tw: TwoWalkParams | None) -> Fraction | None:
     return tw.alpha if tw.beta == 0 else None
 
 
-def _adjacency_float(g: Graph) -> np.ndarray:
-    """The float64 adjacency matrix, unpacked from the row bitsets."""
-    width = (g.n + 7) // 8
-    packed = b"".join([row.to_bytes(width, "little") for row in g.rows])
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(bits, axis=1, count=g.n, bitorder="little").astype(np.float64)
-
-
 def analyze(g: Graph) -> MainSpectrumReport:
     """Full main-spectrum report for one graph."""
     d = degree_vector(g)
@@ -220,7 +210,8 @@ def analyze(g: Graph) -> MainSpectrumReport:
     tw = two_walk_params(g)
     assert (tw is not None) == (k == 2), "walk rank and two-walk test disagree"
     mv = main_values(tw) if tw is not None else None
-    rho = max(eigenvalues_float(_adjacency_float(g)))
+    # cast first, so no int64 copy stays alive across eigvalsh
+    rho = max(eigenvalues_float(g.adjacency_matrix().astype(float)))
     return MainSpectrumReport(
         n=g.n,
         edges=sum(d) // 2,

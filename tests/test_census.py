@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from math import comb, prod
@@ -20,6 +21,7 @@ from mainspectra import (
     symplectic_graph,
     verify_switching_invariance_exhaustive,
 )
+from mainspectra import census
 from mainspectra.census import (
     BLOCK,
     _BlockKernel,
@@ -124,6 +126,37 @@ def test_census_worker_determinism_small():
     base = symplectic_graph(1)
     csvs = {census_table(base, workers=w).to_csv() for w in (1, 2, 3)}
     assert len(csvs) == 1
+
+
+def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
+    # 1,000 workers split the subsets into 1,000 ranges but start no more
+    # processes than there are CPUs; the fake pool maps in this process
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            assert len(jobs) == 1000
+            return [fn(job) for job in jobs]
+
+    class FakeContext:
+        Pool = FakePool
+
+    base = complete(7)
+    one = census_table(base, workers=1)
+    monkeypatch.setattr(census, "get_context", lambda method: FakeContext())
+    many = census_table(base, workers=1000)
+    assert len(started) == 1 and 1 <= started[0] <= (os.cpu_count() or 1)
+    assert many.to_csv() == one.to_csv()
+    assert many.verification == one.verification
 
 
 def test_census_relabel_invariance():

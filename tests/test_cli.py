@@ -158,6 +158,31 @@ def test_construct_splice_chain(capsys, tmp_path):
     assert len(rec["metadata"]["splice_log"]) == 2
 
 
+@pytest.mark.parametrize("edge", ["0,9", "-1,0", "0,-1"])
+def test_construct_splice_chain_rejects_an_out_of_range_edge(capsys, tmp_path, edge):
+    seed = tmp_path / "c5.g6"
+    seed.write_text("Dhc\n")  # the 5-cycle
+    code = main(["construct", "splice-chain", str(seed), f"--edge={edge}", "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "Traceback" not in captured.err
+    rec = json.loads(captured.err)
+    assert rec["recipe"] == "splice-chain" and "outside 0..4" in rec["error"]
+
+
+def test_analyze_edges_checks_the_vertex_count_first(capsys, monkeypatch):
+    # a first line of 2^62 must be refused before any row is allocated
+    code, out, err = run_cli(
+        capsys,
+        ["analyze", "--input-format", "edges"],
+        stdin=f"{2**62};0 1\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("line 1: vertex count 4611686018427387904 outside 1..")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_census_small_base(capsys, tmp_path):
     base = tmp_path / "base.g6"
     base.write_text("C~\n")  # K4

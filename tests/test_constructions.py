@@ -185,6 +185,15 @@ def test_splice_rejects_bridge():
         splice(SpliceSpec(star(4), (0, 1), star(4), (0, 1)))
 
 
+def test_splice_rejects_out_of_range_endpoints():
+    g = cone_c4()
+    for edge in ((0, 9), (9, 0), (-1, 4), (4, -1)):
+        with pytest.raises(SpliceError, match=r"endpoint outside 0\.\.4"):
+            splice(SpliceSpec(g, (4, 0), g, edge))
+        with pytest.raises(SpliceError, match=r"endpoint outside 0\.\.4"):
+            splice_chain(g, edge, 2)
+
+
 def test_splice_rejects_degree_mismatch():
     g = cone_c4()
     with pytest.raises(SpliceError, match="degree mismatch"):

@@ -152,6 +152,32 @@ def test_char_poly_small_graphs():
 def test_char_poly_rejects_nonsquare():
     with pytest.raises(ValueError):
         char_poly([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):  # ragged: numpy refuses the array
+        char_poly([[0, 1], [1]])
+    for mat in ([0, 1], np.zeros((2, 2, 2), dtype=np.int64)):  # 1-D, 3-D
+        with pytest.raises(ValueError, match="^matrix is not square$"):
+            char_poly(mat)
+
+
+def test_char_polys_reject_non_integer_and_wide_matrices():
+    top = 1 << 26  # the largest absolute row sum char_polys accepts
+    assert char_poly([[-top]]) == (top, 1)
+    assert char_poly([[top // 2, -top // 2], [1, 0]]) == (top // 2, -top // 2, 1)
+    assert char_poly(np.array([[0, 1], [1, 0]], dtype=np.uint8)) == (-1, 0, 1)
+    refused = [
+        [[0.5]],  # a float would be truncated
+        np.eye(2),
+        [[2**63]],  # beyond int64: an object array
+        np.array([[2**64 - 1]], dtype=np.uint64),
+        np.array([[np.iinfo(np.int64).min]]),  # np.abs of it is negative
+        [[top // 2, top // 2 + 1], [0, 0]],  # row sum top + 1
+        [[top + 1]],
+    ]
+    for mat in refused:
+        with pytest.raises(ValueError):
+            char_poly(mat)
+        with pytest.raises(ValueError):  # also inside a stack of valid matrices
+            char_polys([[[0, 1], [1, 0]], mat, [[1]]])
 
 
 @settings(max_examples=40)
@@ -171,7 +197,8 @@ def test_char_poly_matches_cofactor_oracle(seed):
 def test_char_poly_one_vertex():
     assert char_poly([[0]]) == (0, 1)
     assert char_poly([[5]]) == (-5, 1)
-    assert char_poly([[-(10**30)]]) == (10**30, 1)  # A reduced modulo each prime
+    with pytest.raises(ValueError):  # beyond int64
+        char_poly([[-(10**30)]])
 
 
 def test_char_poly_matches_object_oracle(all_n_le_7):
@@ -201,12 +228,16 @@ def test_char_poly_check_prime_catches_a_low_bound(monkeypatch):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_char_poly_large_entries(seed):
+    # absolute row sums up to 2^26, where the float64 exactness proof is tight
     rng = random.Random(seed)
     n = rng.randint(1, 9)
-    m = [[rng.randint(-(10**12), 10**12) for _ in range(n)] for _ in range(n)]
+    top = 1 << 26
+    m = [[rng.randint(-(top // n), top // n) for _ in range(n)] for _ in range(n)]
+    cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+    m[rng.randrange(n)] = [rng.choice((-1, 1)) * (b - a) for a, b in zip([0, *cuts], [*cuts, top])]
     p = char_poly(m)
     assert p == char_poly_object(m)
-    x = rng.randint(-(10**12), 10**12)
+    x = rng.randint(-top, top)
     shifted = [[x - m[i][j] if i == j else -m[i][j] for j in range(n)] for i in range(n)]
     assert poly_eval(p, x) == det_cofactor(shifted)
 
@@ -217,10 +248,12 @@ def test_char_polys_mixed_stack():
     # the n = 4 group mixes C4's S (bound 81) with entries up to 10^4 (|det| ~ 10^16)
     for n in (2, 4, 4, 7):
         mats.append([[rng.randint(-(10**4), 10**4) for _ in range(n)] for _ in range(n)])
-    mats.insert(3, [[1, 2, 3], [4, 5, 6], [7, 8, -(10**9)]])  # row sum > 2^26: reduced
     mats += [[[0]], [[-3]], seidel_matrix(path(4))]
     assert char_polys(mats) == [char_poly_object(m) for m in mats]
     assert char_polys([]) == []
+    mats.insert(3, [[1, 2, 3], [4, 5, 6], [7, 8, -(10**9)]])  # row sum > 2^26
+    with pytest.raises(ValueError):
+        char_polys(mats)
 
 
 def test_char_polys_splits_at_the_element_budget(monkeypatch):

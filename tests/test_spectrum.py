@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from mainspectra import (
     main_eigenvalue_count,
     main_values,
     path,
+    seidel_matrix,
     star,
     t_lambda_tree,
     three_valenced_boundary,
@@ -255,8 +257,19 @@ def test_one_main_iff_regular_on_corpus(connected_n_le_8):
 
 
 def test_spectral_radius_from_the_bitset_adjacency(all_n_le_7):
-    # eigvalsh sees the same matrix as from the adjacency lists, so the
-    # float is bit-identical
-    for g in all_n_le_7[::7] + [t_lambda_tree(4)]:
-        a = np.array(g.adjacency_matrix(), dtype=float)
-        assert analyze(g).spectral_radius == max(np.linalg.eigvalsh(a).tolist())
+    # the unpacked adjacency and Seidel arrays equal the matrices built entry
+    # by entry from has_edge, across the byte boundaries of the unpacking; so
+    # eigvalsh sees the same matrix and the float is bit-identical
+    rng = random.Random(5)
+    sized = [
+        graph_from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.5])
+        for n in (1, 7, 8, 9, 63, 64, 65)
+    ]
+    for g in all_n_le_7[::7] + [t_lambda_tree(4)] + sized:
+        vs = range(g.n)
+        a = [[int(g.has_edge(u, v)) for v in vs] for u in vs]
+        s = [[0 if u == v else 1 - 2 * g.has_edge(u, v) for v in vs] for u in vs]
+        for got, want in ((g.adjacency_matrix(), a), (seidel_matrix(g), s)):
+            assert got.dtype == np.int64 and got.tolist() == want
+        rho = max(np.linalg.eigvalsh(np.array(a, dtype=float)).tolist())
+        assert analyze(g).spectral_radius == rho
