@@ -7,9 +7,11 @@ PYTHONPATH=src) and writes into OUT_DIR:
   analyze/   analyze --seidel --equitable --format json, and --format csv,
              on each data/*.g6
   census/    census CSV (with --reference bundled --audit), the audit file
-             and --format json, under both conventions, workers 1 and 2
-  construct/ construct --format json for every recipe (inputs/ holds the
-             input graphs of cone and splice-chain)
+             and --format json, under both conventions, workers 1 and 2;
+             census --format json on the bases K1, C5 plus an isolated
+             vertex and K4, one for each reason the structure checks skip
+  construct/ construct --format json for every recipe
+  inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
              two seeds, and analyze on them as that workload runs it
 
@@ -52,7 +54,7 @@ def analyze_outputs(out: Path) -> None:
         run(out, f"{path.stem}.csv", ["analyze", "--format", "csv", str(path)])
 
 
-def census_outputs(out: Path) -> None:
+def census_outputs(out: Path, inputs: Path) -> None:
     for convention in ("up-to-complement", "all-subsets"):
         for workers in ("1", "2"):
             name = f"{convention}.w{workers}"
@@ -60,6 +62,11 @@ def census_outputs(out: Path) -> None:
                       "--reference", "bundled"]
             run(out, f"{name}.csv", common + ["--audit", str(out / f"{name}.audit.json")])
             run(out, f"{name}.json", common + ["--format", "json"])
+    # not a regular two-graph; Seidel eigenvalues +-sqrt(5); trivial
+    for name, graph6 in (("k1", "@"), ("c5_k1", "Ehc?"), ("k4", "C~")):
+        base = inputs / f"base_{name}.g6"
+        base.write_text(f"{graph6}\n")
+        run(out, f"base.{name}.json", ["census", "--base", str(base), "--format", "json"])
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:
@@ -105,7 +112,7 @@ def main() -> int:
     for section in ("analyze", "census", "construct", "inputs", "large"):
         (out / section).mkdir(parents=True)
     analyze_outputs(out / "analyze")
-    census_outputs(out / "census")
+    census_outputs(out / "census", out / "inputs")
     construct_outputs(out / "construct", out / "inputs")
     large_outputs(out / "large")
     return 0

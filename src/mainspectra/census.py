@@ -29,9 +29,11 @@ from .graph6 import write_graph6
 from .graphs import Graph, induced_subgraph
 from .linalg import char_poly, primes_below
 from .seidel import (
+    non_main_eigenvalues,
     seidel_matrix,
     seidel_report,
     srg_params,
+    structure_skip_reason,
     switch_mask,
     verify_nonregular_structure,
 )
@@ -166,13 +168,13 @@ class _BlockKernel:
         q = p = b = 0.  The second array flags non-regular members failing
         that test.
 
-        This is `spectrum.two_walk_params` over a block, kept apart because
-        the traffic differs: analyze spends 20-30 ms per 3,000 corpus graphs
-        in two_walk_params, so batching it there gains nothing, while the
-        connectivity below squares dense n x n matrices, 10 of them at
-        n = 658 (about 0.25 s, as long as a whole large-exact pass).  The
-        bitset `seidel.switch_mask` and `graphs.is_connected` stay beside
-        the numpy versions here for the same reason.
+        This is `spectrum.two_walk_params` and `graphs.is_connected` over a
+        block, kept apart because the traffic differs.  keys() only sees
+        census blocks of 64 members with n <= 24, where the squarings below
+        take 90 us per block at n = 16 (250 us at n = 24) against 335 us
+        (440 us) for `seidel.switch_mask` and is_connected member by member
+        (2 cores).  analyze spends 20-30 ms per 3,000 corpus graphs in
+        two_walk_params, so batching it there gains nothing.
         """
         bsz, n, _ = adj.shape
         deg_f = adj.sum(axis=2)
@@ -377,31 +379,7 @@ class CensusTable:
         }
 
 
-def _structure_skip_reason(rep) -> str | None:
-    """None when the class is a non-trivial regular two-graph with integral
-    Seidel spectrum (the structure checks apply), else why they do not."""
-    if not rep.regular_two_graph:
-        return (
-            "base is not a regular two-graph "
-            f"(distinct Seidel eigenvalues: {rep.distinct_seidel_count})"
-        )
-    if rep.spectrum is None or len(rep.spectrum) != 2:
-        return "Seidel spectrum is not two integral eigenvalues"
-    if min(m for _, m in rep.spectrum) < 2:
-        return "trivial regular two-graph (a simple Seidel eigenvalue)"
-    return None
-
-
-def _expected_alpha(spectrum) -> Fraction:
-    # Trace identity: 0 = alpha + sum (m_i - 1) theta_i over the non-main part.
-    tot = Fraction(0)
-    for rho, mult in spectrum:
-        theta = Fraction(-1 - rho, 2)
-        tot += (mult - 1) * theta
-    return -tot
-
-
-def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep) -> None:
+def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep, alpha: int) -> None:
     mask = row.representative_subset << shift
     member = switch_mask(base, mask)
     if row.kind == "regular":
@@ -414,10 +392,10 @@ def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep) -> None:
                 f"regular member at subset {row.representative_subset} is not strongly regular"
             )
         return
-    expected = _expected_alpha(base_rep.spectrum)
-    if row.alpha != expected:
+    if row.alpha != alpha:
         raise ClassificationError(
-            f"alpha {row.alpha} != {expected} forced by the Seidel spectrum"
+            f"alpha {row.alpha} != {alpha} forced by the Seidel spectrum "
+            f"at subset {row.representative_subset}"
         )
     if row.connected:
         # Every member's Seidel power sums matched the base's, so the base's
@@ -503,10 +481,11 @@ def census_table(
         "disconnected": sum(r.count for r in rows if not r.connected),
         "rows": len(rows),
     }
-    skip_reason = _structure_skip_reason(base_rep)
+    skip_reason = structure_skip_reason(base_rep)
     if skip_reason is None:
+        alpha = -sum(theta * mult for theta, mult in non_main_eigenvalues(base_rep))
         for row in rows:
-            _verify_row(base, row, shift, base_rep)
+            _verify_row(base, row, shift, base_rep, alpha)
     return CensusTable(
         base_graph6=write_graph6(base),
         convention=convention,

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .equitable import is_equitable, valency_partition
 from .graphs import Graph, cone, degree_vector, graph_from_edges, is_connected, star
+from .graphs import _check_vertex_count
 from .spectrum import TwoWalkParams, two_walk_params
 
 
@@ -45,6 +46,7 @@ def symplectic_graph(r: int) -> Graph:
         raise ValueError(f"need r >= 1, got {r}")
     width = 2 * r
     n = 1 << width
+    _check_vertex_count(n)
     lo_mask, hi_mask = _pair_swap_mask(width)
     rows = [0] * n
     for v in range(n):
@@ -133,7 +135,8 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
     if disc < 4:
         raise ValueError(f"infeasible pair ({alpha}, {beta}): alpha^2 + 4 beta < 4")
     (q11, _), (q21, q22) = quotient_for(alpha, beta)
-    assert q21 >= 1
+    if q21 < 1:
+        raise AssertionError(f"quotient for ({alpha}, {beta}) has no edge between its blocks")
     if q11 == 0 and q22 == 0:
         return _validated(star(q21 + 1), f"({alpha}, {beta}) realization", 2, alpha, beta)
     n2 = q22 + 1
@@ -150,6 +153,7 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
         n2 += 1
         if n2 > q22 + 64:
             raise RealizationError(f"no feasible block size for ({alpha}, {beta})")
+    _check_vertex_count(n1 + n2)
     edges = _circulant_edges(0, n1, q11)
     edges += _circulant_edges(n1, n2, q22)
     edges += [(i, n1 + i // q21) for i in range(n1)]
@@ -220,7 +224,8 @@ def boundary_impossibility(alpha: int, beta: int) -> BoundaryCertificate:
         quotient=((half, 1), (1, half)),
         row_sums=(half + 1, half + 1),
     )
-    assert cert.verify()
+    if not cert.verify():
+        raise AssertionError(f"boundary certificate for ({alpha}, {beta}) fails its own check")
     return cert
 
 
@@ -241,6 +246,7 @@ def three_valenced_boundary(alpha: int) -> Graph:
     while n3 * internal % 2:
         n3 += 1
     n12 = 3 * n3
+    _check_vertex_count(2 * n12 + n3)
     edges = _circulant_edges(0, n12, internal)
     edges += _circulant_edges(n12, n12, internal)
     edges += _circulant_edges(2 * n12, n3, internal)

@@ -210,6 +210,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    _check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -217,6 +218,7 @@ def complete(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_vertex_count(n)
     return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
@@ -224,14 +226,17 @@ def star(n: int) -> Graph:
     """Star K_{1,n-1} with centre 0."""
     if n < 1:
         raise ValueError("star needs at least one vertex")
+    _check_vertex_count(n)
     return graph_from_edges(n, [(0, v) for v in range(1, n)])
 
 
 def path(n: int) -> Graph:
+    _check_vertex_count(n)
     return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
+    _check_vertex_count(n)
     conns = sorted(set(connections))
     for s in conns:
         if not 1 <= s <= n // 2:
@@ -251,6 +256,7 @@ def t_lambda_tree(lam: int) -> Graph:
     if lam < 2:
         raise ValueError(f"need lam >= 2, got {lam}")
     c = lam * lam - lam + 1
+    _check_vertex_count(1 + c * lam)
     edges = [(0, m) for m in range(1, c + 1)]
     nxt = c + 1
     for m in range(1, c + 1):

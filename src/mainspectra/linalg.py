@@ -477,7 +477,8 @@ def extract_integer_roots(p, candidates) -> tuple[list[tuple[int, int]], Poly]:
         mult = 0
         while len(p) > 1 and poly_eval(p, r) == 0:
             p, rem = _synthetic_div(p, r)
-            assert rem == 0
+            if rem != 0:
+                raise AssertionError(f"root {r} leaves remainder {rem}")
             mult += 1
         if mult:
             roots.append((r, mult))

@@ -57,12 +57,21 @@ def _is_strong(s: np.ndarray) -> bool:
     the off-diagonal entries of S^2 being constant on edges (S = -1) and
     constant on non-edges (S = 1); an empty class imposes nothing.
     """
-    s2 = s @ s
+    return _square_values(s, s) is not None
+
+
+def _square_values(m: np.ndarray, marks: np.ndarray) -> tuple | None:
+    """The single value M^2 takes where marks is -1 and where it is 1 (the
+    edges and the non-edges when marks is the Seidel matrix), each None for
+    an empty class; None when a class holds two values."""
+    m2 = m @ m
+    values = []
     for mark in (-1, 1):
-        values = s2[s == mark]
-        if values.size and (values != values[0]).any():
-            return False
-    return True
+        cls = m2[marks == mark]
+        if cls.size and (cls != cls[0]).any():
+            return None
+        values.append(int(cls[0]) if cls.size else None)
+    return tuple(values)
 
 
 @dataclass
@@ -106,7 +115,8 @@ def _seidel_root_data(cp: tuple) -> tuple[int, tuple | None]:
         prod = 1
         for r, _ in spectrum:
             prod *= r
-        assert prod == -(n - 1), "Seidel eigenvalue product != -(n-1)"
+        if prod != -(n - 1):
+            raise AssertionError("Seidel eigenvalue product != -(n-1)")
     return distinct, spectrum
 
 
@@ -142,6 +152,33 @@ def seidel_report(g: Graph) -> SeidelReport:
     return seidel_reports([g])[0]
 
 
+def structure_skip_reason(rep: SeidelReport) -> str | None:
+    """None when rep's class is a non-trivial regular two-graph with
+    integral Seidel spectrum, so the structure checks apply; else why not.
+    Such a class has odd Seidel eigenvalues rho_i, as (-1 - rho_i)/2 must
+    be an integer; an even one raises ValueError."""
+    if not rep.regular_two_graph:
+        return (
+            "base is not a regular two-graph "
+            f"(distinct Seidel eigenvalues: {rep.distinct_seidel_count})"
+        )
+    if rep.spectrum is None or len(rep.spectrum) != 2:
+        return "Seidel spectrum is not two integral eigenvalues"
+    if min(m for _, m in rep.spectrum) < 2:
+        return "trivial regular two-graph (a simple Seidel eigenvalue)"
+    if any((1 + rho) % 2 for rho, _ in rep.spectrum):
+        raise ValueError("Seidel eigenvalues do not yield integral adjacency eigenvalues")
+    return None
+
+
+def non_main_eigenvalues(rep: SeidelReport) -> tuple[tuple[int, int], ...]:
+    """(theta_i, m_i - 1) with theta_i = (-1 - rho_i)/2 for the Seidel
+    spectrum rho_i^(m_i) of a class that structure_skip_reason passes: the
+    eigenvalues its non-regular members carry besides their two main ones,
+    which sum to alpha = -sum (m_i - 1) theta_i, as tr A = 0."""
+    return tuple(((-1 - rho) // 2, m - 1) for rho, m in rep.spectrum)
+
+
 def srg_params(g: Graph) -> tuple[int, int, int, int] | None:
     """(n, k, lambda, mu) when strongly regular, else None.
 
@@ -152,34 +189,17 @@ def srg_params(g: Graph) -> tuple[int, int, int, int] | None:
     are exactly the conventions under which strength is equivalent to
     "strongly regular or two Seidel eigenvalues".
     """
-    n = g.n
     d = degree_vector(g)
     if len(set(d)) != 1:
         return None
-    if n == 1:
+    if g.n == 1:
         return (1, 0, 0, 0)
-    k = d[0]
-    lam = None
-    mu = None
-    for v in range(n):
-        row_v = g.rows[v]
-        for u in range(v + 1, n):
-            common = (row_v & g.rows[u]).bit_count()
-            if (row_v >> u) & 1:
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    if lam is None:
-        lam = 0
-    if mu is None:
-        mu = lam
-    return (n, k, lam, mu)
+    values = _square_values(g.adjacency_matrix(), seidel_matrix(g))
+    if values is None:
+        return None
+    lam, mu = values
+    lam = 0 if lam is None else lam
+    return (g.n, d[0], lam, lam if mu is None else mu)
 
 
 @dataclass
@@ -200,20 +220,6 @@ class NonregularStructure:
     @property
     def passed(self) -> bool:
         return self.char_poly_matches and self.distinct_adjacency_count == 4
-
-    def to_json(self) -> dict:
-        return {
-            "seidel_spectrum": [list(p) for p in self.seidel_spectrum],
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-            "m0": self.m0,
-            "m1": self.m1,
-            "alpha": str(self.params.alpha),
-            "beta": str(self.params.beta),
-            "char_poly_matches": self.char_poly_matches,
-            "distinct_adjacency_count": self.distinct_adjacency_count,
-            "passed": self.passed,
-        }
 
 
 def verify_nonregular_structure(
@@ -238,22 +244,17 @@ def verify_nonregular_structure(
             "disconnected input: isolated-vertex plus strongly-regular branch applies"
         )
     rep = seidel if seidel is not None else seidel_report(g)
-    if not rep.regular_two_graph or rep.spectrum is None or len(rep.spectrum) != 2:
-        raise ValueError("Seidel spectrum is not two integral eigenvalues")
-    (rho0, m0), (rho1, m1) = rep.spectrum
-    if (1 + rho0) % 2 or (1 + rho1) % 2:
-        raise ValueError("Seidel eigenvalues do not yield integral adjacency eigenvalues")
-    theta0 = (-1 - rho0) // 2
-    theta1 = (-1 - rho1) // 2
-    if m0 < 2 or m1 < 2:
-        raise ValueError("Seidel multiplicities too small for the four-eigenvalue form")
+    reason = structure_skip_reason(rep)
+    if reason is not None:
+        raise ValueError(reason)
     tw = two_walk_params(g)
     if tw is None:
         raise ValueError("no two-walk parameters: hypothesis violated")
+    (theta0, k0), (theta1, k1) = non_main_eigenvalues(rep)
     quad = poly_trim((-tw.beta, -tw.alpha, Fraction(1)))
     expected = poly_mul(
         quad,
-        poly_mul(poly_pow((-theta0, 1), m0 - 1), poly_pow((-theta1, 1), m1 - 1)),
+        poly_mul(poly_pow((-theta0, 1), k0), poly_pow((-theta1, 1), k1)),
     )
     cp = char_poly(g.adjacency_matrix())
     matches = len(expected) == len(cp) and all(a == b for a, b in zip(expected, cp))
@@ -261,8 +262,8 @@ def verify_nonregular_structure(
         seidel_spectrum=rep.spectrum,
         theta0=theta0,
         theta1=theta1,
-        m0=m0,
-        m1=m1,
+        m0=k0 + 1,
+        m1=k1 + 1,
         params=tw,
         adjacency_char_poly=cp,
         char_poly_matches=matches,

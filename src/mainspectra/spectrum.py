@@ -172,7 +172,8 @@ def two_walk_params(g: Graph) -> TwoWalkParams | None:
     b = ad[0] * q - p * d[0]
     if any(q * x != p * y + b for x, y in zip(ad, d)):
         return None
-    assert p * p + 4 * b * q > 0
+    if p * p + 4 * b * q <= 0:
+        raise AssertionError("two-walk parameters with a non-positive discriminant")
     return TwoWalkParams(Fraction(p, q), Fraction(b, q))
 
 
@@ -208,7 +209,8 @@ def analyze(g: Graph) -> MainSpectrumReport:
     regular = len(set(d)) == 1
     k = main_eigenvalue_count(g)
     tw = two_walk_params(g)
-    assert (tw is not None) == (k == 2), "walk rank and two-walk test disagree"
+    if (tw is not None) != (k == 2):
+        raise AssertionError("walk rank and two-walk test disagree")
     mv = main_values(tw) if tw is not None else None
     # cast first, so no int64 copy stays alive across eigvalsh
     rho = max(eigenvalues_float(g.adjacency_matrix().astype(float)))

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 from fractions import Fraction
 from math import comb, prod
 from pathlib import Path
@@ -16,8 +17,11 @@ from mainspectra import (
     compare_to_reference,
     complete,
     cycle,
+    degree_vector,
     graph_from_edges,
+    is_connected,
     relabel,
+    star,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
 )
@@ -374,6 +378,90 @@ def test_corrupted_member_caught_by_power_sums(monkeypatch):
     assert classify_member(graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
     with pytest.raises(ClassificationError, match=r"Seidel power sums changed .* subset 0$"):
         census_table(complete(4))
+
+
+# ---------------------------------------------------------------------------
+# the row checks of the Sp(4) census, each made to fail once
+
+
+def _regular(g):
+    return len(set(degree_vector(g))) == 1
+
+
+def _swap_members(wanted, replacement):
+    """Patch census.switch_mask to hand the row checks replacement for every
+    row representative that wanted accepts; the patch records their subset
+    indices (mask >> 1 under the default up-to-complement convention)."""
+
+    def patch(monkeypatch, subsets):
+        real = census.switch_mask
+
+        def fake(base, mask):
+            member = real(base, mask)
+            if wanted(member):
+                subsets.append(mask >> 1)
+                return replacement
+            return member
+
+        monkeypatch.setattr(census, "switch_mask", fake)
+
+    return patch
+
+
+def _edit_keys(edit):
+    """Patch census._census_key to pass every row key through edit."""
+
+    def patch(monkeypatch, subsets):
+        real = census._census_key
+        monkeypatch.setattr(census, "_census_key", lambda row: edit(real(row)))
+
+    return patch
+
+
+K14_2K1 = graph_from_edges(16, [(u, v) for u in range(14) for v in range(u + 1, 14)])
+K1_C15 = graph_from_edges(16, [(1 + i, 1 + (i + 1) % 15) for i in range(15)])
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (
+            _swap_members(_regular, cycle(16)),
+            "regular member at subset {} is not strongly regular",
+        ),
+        (
+            _swap_members(lambda g: not _regular(g) and is_connected(g), star(16)),
+            "four-eigenvalue structure failed at subset {}",
+        ),
+        (
+            _swap_members(lambda g: not is_connected(g), K14_2K1),
+            "disconnected member at subset {} is not isolated vertex plus strongly regular graph",
+        ),
+        (
+            _swap_members(lambda g: not is_connected(g), K1_C15),
+            "disconnected member at subset {}: remainder is not strongly regular",
+        ),
+        (
+            _edit_keys(lambda key: key[:4] + (False,) if key[0] == "regular" else key),
+            "regular disconnected member at subset {}",
+        ),
+        (
+            _edit_keys(
+                lambda key: (key[0], key[1] + 1, *key[2:]) if key[0] == "nonregular" else key
+            ),
+            "alpha 9 != 8 forced by the Seidel spectrum at subset {}",
+        ),
+    ],
+    ids=["regular-not-srg", "four-eigenvalue", "two-isolated", "remainder-not-srg",
+         "regular-disconnected", "alpha"],
+)
+def test_row_checks_name_the_failing_row(monkeypatch, patch, message):
+    subsets = []
+    patch(monkeypatch, subsets)
+    with pytest.raises(ClassificationError) as info:
+        census_table(symplectic_graph(2))
+    subset = str(subsets[0]) if subsets else r"\d+"
+    assert re.fullmatch(message.format(subset), str(info.value))
 
 
 def test_power_sum_moduli():

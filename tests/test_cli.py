@@ -170,6 +170,28 @@ def test_construct_splice_chain_rejects_an_out_of_range_edge(capsys, tmp_path, e
     assert rec["recipe"] == "splice-chain" and "outside 0..4" in rec["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["t-lambda", "--lam", "1000000"], 1 + (10**12 - 10**6 + 1) * 10**6),
+        (["biregular", "--alpha", "0", "--beta", str(10**9)], 10**9 + 1),  # a star
+        # blocks of 5*10^8 + 1 and (5*10^8 + 1) * 25*10^16 vertices
+        (
+            ["biregular", "--alpha", str(10**9), "--beta", "0"],
+            (5 * 10**8 + 1) * (25 * 10**16 + 1),
+        ),
+        (["boundary3", "--alpha", str(10**9)], 7 * 5 * 10**8),
+    ],
+)
+def test_construct_checks_the_vertex_count_first(capsys, argv, n):
+    code = main(["construct", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    rec = json.loads(captured.err)
+    assert rec["recipe"] == argv[0]
+    assert rec["error"].startswith(f"vertex count {n} outside 1..")
+
+
 def test_analyze_edges_checks_the_vertex_count_first(capsys, monkeypatch):
     # a first line of 2^62 must be refused before any row is allocated
     code, out, err = run_cli(
@@ -250,6 +272,9 @@ def _one_line_error(capsys, argv, code):
         (["census", "--r", "0"], "need r >= 1"),
         (["census", "--r", "3"], "n=64 > 24"),
         (["census", "--base", "/nonexistent/base.g6"], "No such file"),
+        # the symplectic base is refused before its rows are allocated
+        (["census", "--r", "7"], "vertex count 16384 outside 1.."),
+        (["census", "--r", "40"], f"vertex count {2**80} outside 1.."),
     ],
 )
 def test_census_bad_input_exits_2(capsys, argv, message):

@@ -137,3 +137,13 @@ def test_degree_sum_is_twice_edges(g):
 def test_diameter_at_least_one_bit(g):
     d = diameter(g)
     assert d == math.inf or d >= (1 if g.edge_count() else 0)
+
+
+@pytest.mark.parametrize(
+    "build", [complete, cycle, star, path, lambda n: circulant(n, [1])],
+    ids=["complete", "cycle", "star", "path", "circulant"],
+)
+def test_builders_check_the_vertex_count_first(build):
+    # refused before the edge list of 10^12 vertices is built
+    with pytest.raises(ValueError, match=f"vertex count {10**12} outside 1.."):
+        build(10**12)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mainspectra import (
+    SeidelReport,
     char_poly,
     complete,
     cycle,
@@ -19,6 +20,7 @@ from mainspectra import (
     symplectic_graph,
     verify_nonregular_structure,
 )
+from mainspectra.seidel import non_main_eigenvalues, structure_skip_reason
 
 from conftest import graphs
 from oracles import rank_exact, switch
@@ -131,6 +133,30 @@ def test_srg_params_examples():
         8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]
     )
     assert srg_params(two_squares) is None
+    assert srg_params(cycle(6)) is None  # mu is 1 at distance 2, 0 at distance 3
+    assert srg_params(graph_from_edges(3, [])) == (3, 0, 0, 0)
+
+
+def test_structure_of_the_sp4_class():
+    rep = seidel_report(symplectic_graph(2))
+    assert structure_skip_reason(rep) is None
+    # Seidel spectrum 3^10, (-5)^6
+    assert non_main_eigenvalues(rep) == ((-2, 9), (2, 5))
+    assert -sum(theta * mult for theta, mult in non_main_eigenvalues(rep)) == 8
+
+
+def test_structure_skip_reason_rejects_an_even_seidel_eigenvalue():
+    rep = SeidelReport(
+        n=9,
+        seidel_char_poly=(),
+        distinct_seidel_count=2,
+        strong=True,
+        regular_two_graph=True,
+        spectrum=((4, 3), (-2, 6)),
+        float_spectrum=(),
+    )
+    with pytest.raises(ValueError, match="integral adjacency eigenvalues"):
+        structure_skip_reason(rep)
 
 
 def test_verify_nonregular_structure_census_member():
@@ -151,8 +177,10 @@ def test_verify_nonregular_structure_rejections():
         verify_nonregular_structure(base)  # isolated vertex case
     with pytest.raises(ValueError, match="regular"):
         verify_nonregular_structure(cycle(5))
-    with pytest.raises(ValueError, match="Seidel"):
+    with pytest.raises(ValueError, match="Seidel") as info:
         verify_nonregular_structure(path(4))
+    # the precondition is the census's reason to skip its structure checks
+    assert str(info.value) == structure_skip_reason(seidel_report(path(4)))
 
 
 @settings(max_examples=60, deadline=None)

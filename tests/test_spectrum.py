@@ -1,7 +1,12 @@
+import ast
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +197,37 @@ def test_analyze_disconnected_harmonic():
     assert rep.main_count == 2
     assert rep.two_walk == TwoWalkParams(Fraction(2), Fraction(0))
     assert rep.harmonic_delta == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_src_has_no_assert_statement():
+    # python -O strips assert statements, and with them the checks they make
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"assert statements in {path.name} at lines {lines}"
+
+
+def test_analyze_checks_the_walk_rank_under_python_O():
+    script = (
+        "import sys\n"
+        "from mainspectra import spectrum, star\n"
+        "spectrum.main_eigenvalue_count = lambda g: 3\n"
+        "try:\n"
+        "    spectrum.analyze(star(4))\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout == "1 walk rank and two-walk test disagree\n", proc.stderr
 
 
 def test_report_json_roundtrips():
