@@ -5,11 +5,13 @@ Runs this checkout's own `src/` (as `python -m mainspectra` with
 PYTHONPATH=src) and writes into OUT_DIR:
 
   analyze/   analyze --seidel --equitable --format json, and --format csv,
-             on each data/*.g6
+             on each data/*.g6; analyze on a 129-vertex graph6 line next to
+             a valid one under the default vertex cap of 128
   census/    census CSV (with --reference bundled --audit), the audit file
              and --format json, under both conventions, workers 1 and 2;
              census --format json on the bases K1, C5 plus an isolated
-             vertex and K4, one for each reason the structure checks skip
+             vertex and K4, one for each reason the structure checks skip;
+             census --reference on three malformed reference CSVs
   construct/ construct --format json for every recipe
   inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
@@ -17,7 +19,8 @@ PYTHONPATH=src) and writes into OUT_DIR:
 
 Each command leaves NAME.out (stdout) and NAME.err (stderr and the exit
 code).  The vertex cap is raised to 1024, as perfbench does, so the larger
-constructions (t_lambda_tree(6) has 187 vertices) are built.  Snapshot two
+constructions (t_lambda_tree(6) has 187 vertices) are built; only the
+over-cap analyze case runs under the default cap.  Snapshot two
 checkouts into two directories; an empty `diff -r` between them means the
 outputs are byte-identical.
 
@@ -37,21 +40,31 @@ LARGE_SEEDS = (1011, 1012)
 ANALYZE_JSON = ["analyze", "--seidel", "--equitable", "--format", "json"]
 
 
-def run(out: Path, name: str, argv: list[str], command=None) -> None:
-    """Run one command from the repository root; keep its stdout, stderr
-    and exit code under out/name."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), MAINSPECTRA_VERTEX_CAP="1024")
+def run(out: Path, name: str, argv: list[str], command=None, stdin=None, **env) -> None:
+    """Run one command from the repository root, with env overriding the
+    environment; keep its stdout, stderr and exit code under out/name."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "MAINSPECTRA_VERTEX_CAP": "1024", **env}
     command = command or [sys.executable, "-m", "mainspectra"]
-    proc = subprocess.run(command + argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(command + argv, cwd=ROOT, env=env, input=stdin, capture_output=True,
+                          text=True)
     (out / f"{name}.out").write_text(proc.stdout)
     (out / f"{name}.err").write_text(f"{proc.stderr}exit {proc.returncode}\n")
     print(f"{out.name}/{name}: exit {proc.returncode}", flush=True)
+
+
+def edgeless_graph6(n: int) -> str:
+    """The graph6 line of the edgeless graph on 63 <= n <= 258047 vertices."""
+    size = "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    return "~" + size + "?" * -(-n * (n - 1) // 12)
 
 
 def analyze_outputs(out: Path) -> None:
     for path in sorted((ROOT / "data").glob("*.g6")):
         run(out, f"{path.stem}.json", ANALYZE_JSON + [str(path)])
         run(out, f"{path.stem}.csv", ["analyze", "--format", "csv", str(path)])
+    # line 1 is over the default cap of 128 vertices; line 2 is C5
+    run(out, "over-cap", ["analyze"], stdin=f"{edgeless_graph6(129)}\nDhc\n",
+        MAINSPECTRA_VERTEX_CAP="128")
 
 
 def census_outputs(out: Path, inputs: Path) -> None:
@@ -67,6 +80,17 @@ def census_outputs(out: Path, inputs: Path) -> None:
         base = inputs / f"base_{name}.g6"
         base.write_text(f"{graph6}\n")
         run(out, f"base.{name}.json", ["census", "--base", str(base), "--format", "json"])
+    header = "alpha,beta,mu0,mu1,valencies,count\n"
+    row = '8,-9,4+sqrt(7),4-sqrt(7),"3^1,5^3,7^12",240\n'
+    malformed = {
+        "no-mu0": "alpha,beta,mu1,valencies,count\n" + row.replace("4+sqrt(7),", "", 1),
+        "short-row": header + "8,-9,4+sqrt(7)\n",
+        "bad-valencies": header + row + "8,-9,4+sqrt(7),4-sqrt(7),5,1\n",
+    }
+    for name, text in malformed.items():
+        reference = inputs / f"reference_{name}.csv"
+        reference.write_text(text)
+        run(out, f"reference.{name}", ["census", "--reference", str(reference)])
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:

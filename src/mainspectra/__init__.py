@@ -13,6 +13,7 @@ from .census import (
 )
 from .constructions import (
     BoundaryCertificate,
+    BoundaryPairError,
     RealizationError,
     SpliceError,
     SpliceSpec,

@@ -26,7 +26,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .graph6 import write_graph6
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, degree_vector, induced_subgraph, is_connected
 from .linalg import char_poly, primes_below
 from .seidel import (
     non_main_eigenvalues,
@@ -37,7 +37,7 @@ from .seidel import (
     switch_mask,
     verify_nonregular_structure,
 )
-from .spectrum import QuadraticPair
+from .spectrum import QuadraticPair, two_walk_params
 
 MAX_CENSUS_VERTICES = 24
 # Members per kernel pass.  Larger blocks buy little speed at n=16 and cost
@@ -64,9 +64,6 @@ def _shift(convention: Convention) -> int:
     return 1 if convention is Convention.UP_TO_COMPLEMENT else 0
 
 
-Key = tuple  # (kind, alpha, beta, ((valency, multiplicity), ...), connected)
-
-
 # ---------------------------------------------------------------------------
 # batched kernel
 #
@@ -76,7 +73,8 @@ Key = tuple  # (kind, alpha, beta, ((valency, multiplicity), ...), connected)
 # them exactly; results are cast to int64 before any decision is taken.
 
 
-def _census_key(row: list[int]) -> Key:
+def _census_key(row: list[int]) -> tuple:
+    """(kind, alpha, beta, valencies, connected): a `CensusRow`'s leading fields."""
     q, p, b, connected, *counts = row
     valencies = tuple((d, m) for d, m in enumerate(counts) if m)
     if q == 0:
@@ -274,7 +272,7 @@ def _census_chunk(args) -> dict:
 def _merge(items) -> dict:
     """Add (key, count, representative) items up by key, keeping the
     smallest representative."""
-    total: dict[Key, list] = {}
+    total: dict[tuple, list] = {}
     for key, count, rep in items:
         slot = total.get(key)
         if slot is None:
@@ -285,22 +283,12 @@ def _merge(items) -> dict:
     return total
 
 
-def _sort_key(key: Key):
-    kind, alpha, beta, valencies, connected = key
-    return (
-        0 if kind == "nonregular" else 1,
-        alpha if alpha is not None else Fraction(0),
-        beta if beta is not None else Fraction(0),
-        valencies,
-        connected,
-    )
-
-
 def valencies_str(valencies) -> str:
     return ",".join(f"{d}^{m}" for d, m in valencies)
 
 
-@dataclass
+# Rows sort by their fields: nonregular first, regular rows (alpha = beta = None) by valencies.
+@dataclass(order=True)
 class CensusRow:
     kind: str
     alpha: Fraction | None
@@ -379,9 +367,44 @@ class CensusTable:
         }
 
 
-def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep, alpha: int) -> None:
-    mask = row.representative_subset << shift
-    member = switch_mask(base, mask)
+def _member_key(member: Graph) -> tuple:
+    """A member's census key from the one-graph code; alpha and beta are
+    None for a regular member or one without two-walk parameters."""
+    valencies = tuple(sorted(Counter(degree_vector(member)).items()))
+    tw = two_walk_params(member)
+    return (
+        "regular" if len(valencies) == 1 else "nonregular",
+        tw.alpha if tw else None,
+        tw.beta if tw else None,
+        valencies,
+        is_connected(member),
+    )
+
+
+def _key_text(kind, alpha, beta, valencies, connected) -> str:
+    params = f" {alpha},{beta}" if kind == "nonregular" else ""
+    return f"{kind}{params} {valencies_str(valencies)} " + (
+        "connected" if connected else "disconnected"
+    )
+
+
+def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep, alpha: int | None) -> None:
+    """Raise unless the row's representative has the structure its class
+    forces (checked when alpha, the value forced, is given) and reproduces
+    the row's whole key."""
+    member = switch_mask(base, row.representative_subset << shift)
+    if alpha is not None:
+        _verify_structure(member, row, base_rep, alpha)
+    want = (row.kind, row.alpha, row.beta, row.valencies, row.connected)
+    got = _member_key(member)
+    if got != want:
+        raise ClassificationError(
+            f"row {_key_text(*want)} but its representative is {_key_text(*got)} "
+            f"at subset {row.representative_subset}"
+        )
+
+
+def _verify_structure(member: Graph, row: CensusRow, base_rep, alpha: int) -> None:
     if row.kind == "regular":
         if not row.connected:
             raise ClassificationError(
@@ -437,8 +460,10 @@ def census_table(
     primes whose product exceeds twice the bound n^2 (n-1)^(n-2) for
     17 <= n <= 24; see `_power_sum_moduli`), and when the class is a
     non-trivial regular two-graph the representative of every row is
-    re-checked against the forced spectral structure.  ``verification`` on
-    the result says what was checked and what skipped.
+    re-checked against the forced spectral structure.  For every base, each
+    row's representative must reproduce the row's whole key under the
+    one-graph code.  ``verification`` on the result says what was checked
+    and what skipped.
     """
     convention = Convention(convention)
     _check_size(base.n)
@@ -461,19 +486,7 @@ def census_table(
         for counts in parts
         for key, (count, rep) in counts.items()
     )
-
-    rows = tuple(
-        CensusRow(
-            kind=key[0],
-            alpha=key[1],
-            beta=key[2],
-            valencies=key[3],
-            connected=key[4],
-            count=count,
-            representative_subset=rep,
-        )
-        for key, (count, rep) in sorted(merged.items(), key=lambda kv: _sort_key(kv[0]))
-    )
+    rows = tuple(sorted(CensusRow(*key, count, rep) for key, (count, rep) in merged.items()))
     totals = {
         "graphs": sum(r.count for r in rows),
         "regular": sum(r.count for r in rows if r.kind == "regular"),
@@ -482,10 +495,9 @@ def census_table(
         "rows": len(rows),
     }
     skip_reason = structure_skip_reason(base_rep)
-    if skip_reason is None:
-        alpha = -sum(theta * mult for theta, mult in non_main_eigenvalues(base_rep))
-        for row in rows:
-            _verify_row(base, row, shift, base_rep, alpha)
+    alpha = None if skip_reason else -sum(t * m for t, m in non_main_eigenvalues(base_rep))
+    for row in rows:
+        _verify_row(base, row, shift, base_rep, alpha)
     return CensusTable(
         base_graph6=write_graph6(base),
         convention=convention,
@@ -541,24 +553,42 @@ class ReferenceRow:
 def parse_valencies(text: str) -> tuple:
     out = []
     for part in text.split(","):
-        deg, mult = part.strip().split("^")
+        deg, caret, mult = part.strip().partition("^")
+        if not caret:
+            raise ValueError(f"valencies {text!r}: expected DEGREE^COUNT items")
         out.append((int(deg), int(mult)))
     return tuple(sorted(out))
 
 
+_REFERENCE_COLUMNS = ("alpha", "beta", "mu0", "mu1", "valencies", "count")
+
+
 def load_reference_csv(text: str) -> list[ReferenceRow]:
+    """Reference rows from CSV text with the _REFERENCE_COLUMNS.  A missing
+    column, a row longer or shorter than the header or a value that does
+    not parse raises ValueError naming its line."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"reference CSV line 1: no column {', '.join(missing)}")
     rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rows.append(
-            ReferenceRow(
-                alpha=Fraction(rec["alpha"]),
-                beta=Fraction(rec["beta"]),
-                mu0=rec["mu0"],
-                mu1=rec["mu1"],
-                valencies=parse_valencies(rec["valencies"]),
-                count=int(rec["count"]),
+    for rec in reader:
+        where = f"reference CSV line {reader.line_num}"
+        if None in rec or None in rec.values():  # how DictReader marks a long or short row
+            raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields, like the header")
+        try:
+            rows.append(
+                ReferenceRow(
+                    alpha=Fraction(rec["alpha"]),
+                    beta=Fraction(rec["beta"]),
+                    mu0=rec["mu0"],
+                    mu1=rec["mu1"],
+                    valencies=parse_valencies(rec["valencies"]),
+                    count=int(rec["count"]),
+                )
             )
-        )
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
+            raise ValueError(f"{where}: value does not parse ({exc})") from None
     return rows
 
 
@@ -601,10 +631,7 @@ def compare_to_reference(table: CensusTable, reference) -> AuditReport:
     computed = table.nonregular_index()
     ref_by_key = {(r.alpha, r.beta, r.valencies): r for r in reference}
     rows = []
-    for key in sorted(
-        set(computed) | set(ref_by_key),
-        key=lambda k: (k[0], k[1], k[2]),
-    ):
+    for key in sorted(set(computed) | set(ref_by_key)):
         got = computed.get(key)
         ref = ref_by_key.get(key)
         entry = {

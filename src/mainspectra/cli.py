@@ -27,7 +27,7 @@ from .census import (
     load_reference_csv,
 )
 from .constructions import (
-    boundary_impossibility,
+    BoundaryPairError,
     cone_over_regular,
     equitable_biregular_from,
     splice_chain,
@@ -110,18 +110,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-# The parameters each recipe reads; those left None are missing (main
-# rejects them), and they are the provenance record's "params".
-RECIPE_PARAMS = {
-    "t-lambda": ("lam",),
-    "cone": (),
-    "biregular": ("alpha", "beta"),
-    "boundary3": ("alpha",),
-    "symplectic": ("r", "component"),
-    "splice-chain": ("edge", "k"),
-}
-
-
 def _input_graph(args: argparse.Namespace) -> Graph:
     lines = [ln for ln in _read_lines(args.inputs) if ln.strip()]
     if not lines:
@@ -129,47 +117,40 @@ def _input_graph(args: argparse.Namespace) -> Graph:
     return _parse_input_graph(lines[0].strip(), args.input_format)
 
 
-def _construct_graph(args: argparse.Namespace):
-    recipe = args.recipe
-    meta: dict = {}
-    if recipe == "t-lambda":
-        g = t_lambda_tree(args.lam)
-    elif recipe == "cone":
-        g = cone_over_regular(_input_graph(args))
-    elif recipe == "biregular":
-        g = equitable_biregular_from(args.alpha, args.beta)
-    elif recipe == "boundary3":
-        g = three_valenced_boundary(args.alpha)
-    elif recipe == "symplectic":
-        g = sp_component(args.r) if args.component else symplectic_graph(args.r)
-    elif recipe == "splice-chain":
-        res = splice_chain(_input_graph(args), args.edge, args.k)
-        g = res.graph
-        meta = res.to_json()
-    else:
-        raise ValueError(f"unknown recipe {recipe!r}")
-    return g, meta
+def _splice_chain(args: argparse.Namespace):
+    res = splice_chain(_input_graph(args), args.edge, args.k)
+    return res.graph, res.to_json()
+
+
+# recipe -> (the parameters it reads, builder of (graph, metadata)).  Those
+# left None are missing (main rejects them); they are the provenance "params".
+RECIPES = {
+    "t-lambda": (("lam",), lambda a: (t_lambda_tree(a.lam), {})),
+    "cone": ((), lambda a: (cone_over_regular(_input_graph(a)), {})),
+    "biregular": (("alpha", "beta"), lambda a: (equitable_biregular_from(a.alpha, a.beta), {})),
+    "boundary3": (("alpha",), lambda a: (three_valenced_boundary(a.alpha), {})),
+    "symplectic": (
+        ("r", "component"),
+        lambda a: ((sp_component if a.component else symplectic_graph)(a.r), {}),
+    ),
+    "splice-chain": (("edge", "k"), _splice_chain),
+}
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    params, build = RECIPES[args.recipe]
     try:
-        g, meta = _construct_graph(args)
+        g, meta = build(args)
     except ValueError as exc:
         record = {"recipe": args.recipe, "error": str(exc)}
-        if (
-            args.recipe == "biregular"
-            and args.alpha >= 0
-            and args.alpha * args.alpha + 4 * args.beta == 4
-        ):
-            record["impossibility_certificate"] = boundary_impossibility(
-                args.alpha, args.beta
-            ).to_json()
+        if isinstance(exc, BoundaryPairError):
+            record["impossibility_certificate"] = exc.certificate.to_json()
         print(json.dumps(record), file=sys.stderr)
         return 1
     tw = two_walk_params(g)
     provenance = {
         "recipe": args.recipe,
-        "params": {name: getattr(args, name) for name in RECIPE_PARAMS[args.recipe]},
+        "params": {name: getattr(args, name) for name in params},
         "graph6": write_graph6(g),
         "n": g.n,
         "valencies": sorted(set(degree_vector(g))),
@@ -189,13 +170,14 @@ def cmd_census(args: argparse.Namespace) -> int:
             base = parse_graph6(fh.readline().strip())
     else:
         base = symplectic_graph(args.r)
-    table = census_table(base, args.convention, workers=args.workers)
-    audit = None
+    reference = None
     if args.reference == "bundled":
-        audit = compare_to_reference(table, bundled_reference_rows())
+        reference = bundled_reference_rows()
     elif args.reference:
         with open(args.reference) as fh:
-            audit = compare_to_reference(table, load_reference_csv(fh.read()))
+            reference = load_reference_csv(fh.read())
+    table = census_table(base, args.convention, workers=args.workers)
+    audit = None if reference is None else compare_to_reference(table, reference)
     if args.format == "json":
         record = table.to_json()
         if audit:
@@ -236,10 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("construct", help="emit one validated construction")
-    p.add_argument(
-        "recipe",
-        choices=["t-lambda", "cone", "biregular", "boundary3", "symplectic", "splice-chain"],
-    )
+    p.add_argument("recipe", choices=list(RECIPES))
     p.add_argument("inputs", nargs="*", help="input graph files where required")
     p.add_argument("--lam", type=int, help="t-lambda: tree parameter (>= 2)")
     p.add_argument("--alpha", type=int)
@@ -278,7 +257,7 @@ def main(argv=None) -> int:
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be >= 1")
     if args.command == "construct":
-        params = RECIPE_PARAMS[args.recipe]
+        params, _ = RECIPES[args.recipe]
         missing = [f"--{name}" for name in params if getattr(args, name) is None]
         if missing:
             parser.error(f"construct {args.recipe} needs {' and '.join(missing)}")

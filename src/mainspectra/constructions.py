@@ -24,6 +24,18 @@ class RealizationError(RuntimeError):
     """A constructed graph failed its own post-validation."""
 
 
+class BoundaryPairError(ValueError):
+    """(alpha, beta) lies on the boundary alpha^2 + 4 beta = 4, where no
+    connected equitable biregular graph exists; carries the certificate."""
+
+    def __init__(self, alpha: int, beta: int):
+        super().__init__(
+            f"boundary pair ({alpha}, {beta}): no connected equitable biregular "
+            "graph exists; see boundary_impossibility"
+        )
+        self.certificate = boundary_impossibility(alpha, beta)
+
+
 # ---------------------------------------------------------------------------
 # symplectic graphs
 
@@ -128,10 +140,7 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     disc = alpha * alpha + 4 * beta
     if disc == 4:
-        raise ValueError(
-            f"boundary pair ({alpha}, {beta}): no connected equitable biregular "
-            "graph exists; see boundary_impossibility"
-        )
+        raise BoundaryPairError(alpha, beta)
     if disc < 4:
         raise ValueError(f"infeasible pair ({alpha}, {beta}): alpha^2 + 4 beta < 4")
     (q11, _), (q21, q22) = quotient_for(alpha, beta)

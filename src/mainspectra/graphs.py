@@ -46,15 +46,16 @@ class Graph:
     """Immutable simple undirected graph.
 
     Construct through :func:`graph_from_edges` or the builders below; the
-    raw constructor expects one adjacency bitmask per vertex.
+    raw constructor expects one adjacency bitmask per vertex.  Every graph,
+    parsed graph6 included, passes the vertex cap (`vertex_cap`).
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int], _validate: bool = True):
+        _check_vertex_count(n)
         rows = tuple(rows)
         if _validate:
-            _check_vertex_count(n)
             if len(rows) != n:
                 raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
             full = (1 << n) - 1

@@ -418,6 +418,7 @@ def _edit_keys(edit):
     return patch
 
 
+SP4_ROW = ((3, 1), (5, 3), (7, 12))  # connected, (alpha, beta) = (8, -9)
 K14_2K1 = graph_from_edges(16, [(u, v) for u in range(14) for v in range(u + 1, 14)])
 K1_C15 = graph_from_edges(16, [(1 + i, 1 + (i + 1) % 15) for i in range(15)])
 
@@ -451,9 +452,20 @@ K1_C15 = graph_from_edges(16, [(1 + i, 1 + (i + 1) % 15) for i in range(15)])
             ),
             "alpha 9 != 8 forced by the Seidel spectrum at subset {}",
         ),
+        (
+            _edit_keys(lambda key: (*key[:2], key[2] + 1, *key[3:]) if key[3] == SP4_ROW else key),
+            r"row nonregular 8,-8 3\^1,5\^3,7\^12 connected but its representative is "
+            r"nonregular 8,-9 3\^1,5\^3,7\^12 connected at subset {}",
+        ),
+        (
+            _edit_keys(lambda key: (*key[:3], ((3, 1), (5, 4), (7, 11)), key[4])
+                       if key[3] == SP4_ROW else key),
+            r"row nonregular 8,-9 3\^1,5\^4,7\^11 connected but its representative is "
+            r"nonregular 8,-9 3\^1,5\^3,7\^12 connected at subset {}",
+        ),
     ],
     ids=["regular-not-srg", "four-eigenvalue", "two-isolated", "remainder-not-srg",
-         "regular-disconnected", "alpha"],
+         "regular-disconnected", "alpha", "beta", "valencies"],
 )
 def test_row_checks_name_the_failing_row(monkeypatch, patch, message):
     subsets = []
@@ -462,6 +474,45 @@ def test_row_checks_name_the_failing_row(monkeypatch, patch, message):
         census_table(symplectic_graph(2))
     subset = str(subsets[0]) if subsets else r"\d+"
     assert re.fullmatch(message.format(subset), str(info.value))
+
+
+def test_row_key_is_checked_where_structure_checks_skip(monkeypatch):
+    assert census_table(complete(4)).verification["structure_checks"] == "skipped"
+    edit = _edit_keys(
+        lambda key: (*key[:2], key[2] + 1, *key[3:]) if key[0] == "nonregular" else key
+    )
+    edit(monkeypatch, [])
+    message = (
+        r"^row nonregular 2,1 0\^1,2\^3 disconnected but its representative is "
+        r"nonregular 2,0 0\^1,2\^3 disconnected at subset 1$"
+    )
+    with pytest.raises(ClassificationError, match=message):
+        census_table(complete(4))
+
+
+def _old_sort_key(row):
+    """The census order spelled out: non-regular first, then alpha and beta
+    (None read as 0), valencies and connectivity."""
+    return (
+        0 if row.kind == "nonregular" else 1,
+        row.alpha if row.alpha is not None else Fraction(0),
+        row.beta if row.beta is not None else Fraction(0),
+        row.valencies,
+        row.connected,
+    )
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize(
+    "base",
+    [complete(4), graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+     symplectic_graph(2)],
+    ids=["k4", "c5_k1", "sp4"],
+)
+def test_rows_sort_by_their_own_fields(base, convention):
+    rows = list(census_table(base, convention).rows)
+    assert rows == sorted(rows, key=_old_sort_key)
+    assert rows == sorted(reversed(rows))
 
 
 def test_power_sum_moduli():

@@ -5,6 +5,7 @@ import pytest
 
 from mainspectra import (
     analyze,
+    graph_from_edges,
     is_equitable,
     main_bound,
     parse_graph6,
@@ -14,6 +15,7 @@ from mainspectra import (
     valency_partition,
     write_graph6,
 )
+from mainspectra import cli
 from mainspectra.cli import ANALYZE_CHUNK, main
 
 from oracles import quotient_matrix
@@ -292,6 +294,55 @@ def test_census_contradiction_exits_3(capsys, tmp_path):
     base.write_text("DhC\n")  # the 5-path: three main eigenvalues
     err = _one_line_error(capsys, ["census", "--base", str(base)], 3)
     assert "without two-walk parameters" in err
+
+
+HEADER = "alpha,beta,mu0,mu1,valencies,count\n"
+MALFORMED_REFERENCES = [
+    ("alpha,beta,mu1,valencies,count\n8,-9,4-sqrt(7),\"3^1,5^3,7^12\",240\n",
+     "reference CSV line 1: no column mu0"),
+    (HEADER + "8,-9,4+sqrt(7)\n", "reference CSV line 2: expected 6 fields, like the header"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),5^1,1,1\n",
+     "reference CSV line 2: expected 6 fields, like the header"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),\"3^1,5^3,7^12\",240\n8,-9,4+sqrt(7),4-sqrt(7),5,1\n",
+     "reference CSV line 3: value does not parse (valencies '5': expected DEGREE^COUNT items)"),
+    (HEADER + "1/0,-9,4+sqrt(7),4-sqrt(7),5^1,1\n",
+     "reference CSV line 2: value does not parse (Fraction(1, 0))"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", MALFORMED_REFERENCES, ids=["column", "short", "long", "value", "zero"]
+)
+def test_census_malformed_reference_exits_2(capsys, tmp_path, text, message):
+    reference = tmp_path / "reference.csv"
+    reference.write_text(text)
+    err = _one_line_error(capsys, ["census", "--r", "1", "--reference", str(reference)], 2)
+    assert err == f"mainspectra census: {message}\n"
+
+
+def test_census_reads_the_reference_first(capsys, tmp_path, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran before the reference was read")
+
+    monkeypatch.setattr(cli, "census_table", no_census)
+    text, message = MALFORMED_REFERENCES[0]
+    reference = tmp_path / "reference.csv"
+    reference.write_text(text)
+    err = _one_line_error(capsys, ["census", "--reference", str(reference)], 2)
+    assert err == f"mainspectra census: {message}\n"
+    missing = str(tmp_path / "missing.csv")
+    assert "No such file" in _one_line_error(capsys, ["census", "--reference", missing], 2)
+
+
+def test_analyze_graph6_obeys_the_vertex_cap(capsys, monkeypatch):
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "1024")
+    big = write_graph6(graph_from_edges(129, [(0, 1)]))
+    monkeypatch.delenv("MAINSPECTRA_VERTEX_CAP")
+    code, out, err = run_cli(capsys, ["analyze"], stdin=f"{big}\nDhc\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert [json.loads(line)["n"] for line in out.splitlines()] == [5]
+    assert err == "line 1: vertex count 129 outside 1..128 (set MAINSPECTRA_VERTEX_CAP to " \
+        "raise the cap)\n"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mainspectra import (
+    BoundaryPairError,
     SpliceError,
     SpliceSpec,
     boundary_impossibility,
@@ -137,6 +138,13 @@ def test_boundary_certificates():
     assert cert.quotient == ((2, 1), (1, 2))
     with pytest.raises(ValueError):
         boundary_impossibility(3, 1)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 0), (4, -3), (0, 1)])
+def test_boundary_pair_error_carries_the_certificate(alpha, beta):
+    with pytest.raises(BoundaryPairError, match=rf"^boundary pair \({alpha}, {beta}\)") as info:
+        equitable_biregular_from(alpha, beta)
+    assert info.value.certificate == boundary_impossibility(alpha, beta)
 
 
 def test_three_valenced_boundary_alpha4():

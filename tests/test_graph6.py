@@ -170,3 +170,14 @@ def test_nonzero_padding_rejected_extended_size(monkeypatch):
     tampered = s[:-1] + chr(((ord(s[-1]) - 63) | 1) + 63)
     with pytest.raises(Graph6Error, match="nonzero padding bits"):
         parse_graph6(tampered)
+
+
+def test_parse_obeys_the_vertex_cap(monkeypatch):
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "1024")
+    g = graph_from_edges(129, [(0, 128)])
+    line = write_graph6(g)
+    monkeypatch.delenv("MAINSPECTRA_VERTEX_CAP")
+    with pytest.raises(ValueError, match=r"^vertex count 129 outside 1\.\.128 "):
+        parse_graph6(line)
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "129")
+    assert parse_graph6(line) == g
