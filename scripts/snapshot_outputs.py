@@ -6,7 +6,9 @@ PYTHONPATH=src) and writes into OUT_DIR:
 
   analyze/   analyze --seidel --equitable --format json, and --format csv,
              on each data/*.g6; analyze on a 129-vertex graph6 line next to
-             a valid one under the default vertex cap of 128
+             a valid one under the default vertex cap of 128; analyze
+             --format json on path(40) (walk rank 20) and on a seeded
+             G(64, 1/2) (full walk rank)
   census/    census CSV (with --reference bundled --audit), the audit file
              and --format json, under both conventions, workers 1 and 2;
              census --format json on the bases K1, C5 plus an isolated
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LARGE_SEEDS = (1011, 1012)
 ANALYZE_JSON = ["analyze", "--seidel", "--equitable", "--format", "json"]
+RANDOM_SEED = 11
 
 
 def run(out: Path, name: str, argv: list[str], command=None, stdin=None, **env) -> None:
@@ -52,10 +56,20 @@ def run(out: Path, name: str, argv: list[str], command=None, stdin=None, **env) 
     print(f"{out.name}/{name}: exit {proc.returncode}", flush=True)
 
 
-def edgeless_graph6(n: int) -> str:
-    """The graph6 line of the edgeless graph on 63 <= n <= 258047 vertices."""
-    size = "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    return "~" + size + "?" * -(-n * (n - 1) // 12)
+def graph6_line(n: int, edges) -> str:
+    """The graph6 line of the graph on n <= 258047 vertices with these
+    edges (pairs u < v); n >= 63 takes the four-byte size field."""
+    if n < 63:
+        size = chr(n + 63)
+    else:
+        size = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
+    bits = [0] * (n * (n - 1) // 2)
+    for u, v in edges:
+        bits[v * (v - 1) // 2 + u] = 1  # the upper triangle, column by column
+    bits += [0] * (-len(bits) % 6)
+    return size + "".join(
+        chr(int("".join(map(str, bits[i:i + 6])), 2) + 63) for i in range(0, len(bits), 6)
+    )
 
 
 def analyze_outputs(out: Path) -> None:
@@ -63,8 +77,13 @@ def analyze_outputs(out: Path) -> None:
         run(out, f"{path.stem}.json", ANALYZE_JSON + [str(path)])
         run(out, f"{path.stem}.csv", ["analyze", "--format", "csv", str(path)])
     # line 1 is over the default cap of 128 vertices; line 2 is C5
-    run(out, "over-cap", ["analyze"], stdin=f"{edgeless_graph6(129)}\nDhc\n",
+    run(out, "over-cap", ["analyze"], stdin=f"{graph6_line(129, [])}\nDhc\n",
         MAINSPECTRA_VERTEX_CAP="128")
+    rng = random.Random(RANDOM_SEED)
+    gnp = [(u, v) for v in range(64) for u in range(v) if rng.random() < 0.5]
+    for name, line in (("path40", graph6_line(40, [(v - 1, v) for v in range(1, 40)])),
+                       ("gnp64", graph6_line(64, gnp))):
+        run(out, f"{name}.json", ["analyze", "--format", "json"], stdin=line + "\n")
 
 
 def census_outputs(out: Path, inputs: Path) -> None:

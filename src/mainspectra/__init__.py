@@ -75,6 +75,8 @@ from .spectrum import (
     analyze,
     harmonic_delta,
     main_eigenvalue_count,
+    main_eigenvalue_counts,
+    main_spectrum_reports,
     main_values,
     two_walk_params,
 )

@@ -8,7 +8,10 @@ Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
 errors, unreadable or malformed files, out-of-range parameters, analyze
 --format csv with --seidel or --equitable); 3 when a
-census member contradicts the structure its switching class forces.
+census member contradicts the structure its switching class forces; 4 when
+one of the program's own self-checks fails (the walk rank and the two-walk
+test disagree, char_polys' check prime disagrees, or the walk-rank
+certificate runs out of primes).
 Errors are reported as one line on stderr, without a traceback.
 """
 
@@ -39,7 +42,7 @@ from .equitable import equitable_records
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import Graph, degree_vector, graph_from_adjacency_text, t_lambda_tree
 from .seidel import seidel_reports
-from .spectrum import analyze, two_walk_params
+from .spectrum import main_spectrum_reports, two_walk_params
 
 
 def _read_lines(inputs: list) -> list[str]:
@@ -64,7 +67,7 @@ ANALYZE_CHUNK = 64
 
 
 def _print_records(graphs: list, args: argparse.Namespace, header: bool) -> None:
-    reports = [analyze(g) for g in graphs]
+    reports = main_spectrum_reports(graphs)
     seidel = seidel_reports(graphs) if args.seidel else None
     equitable = equitable_records(graphs) if args.equitable else None
     if args.format == "csv" and header:
@@ -247,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 EXIT_BAD_INPUT = 2
 EXIT_CONTRADICTION = 3
+EXIT_SELF_CHECK = 4
 
 COMMANDS = {"analyze": cmd_analyze, "construct": cmd_construct, "census": cmd_census}
 
@@ -266,6 +270,9 @@ def main(argv=None) -> int:
     except ClassificationError as exc:
         print(f"mainspectra {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
+    except AssertionError as exc:  # a self-check of the program's own results
+        print(f"mainspectra {args.command}: self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except (ValueError, OSError) as exc:  # Graph6Error is a ValueError
         print(f"mainspectra {args.command}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

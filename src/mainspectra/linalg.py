@@ -85,7 +85,8 @@ def _modular_constants(moduli: tuple[int, ...], n: int):
 
 # char_polys splits a group of same-order matrices into stacks whose three
 # float64 working buffers hold at most this many elements together; a single
-# matrix above it runs alone, its primes in groups that fit.
+# matrix above it runs alone, its primes in groups that fit.  order_stacks
+# cuts a batch into stacks of at most this many matrix elements.
 _STACK_ELEMENTS = 1 << 18
 
 
@@ -259,6 +260,20 @@ def cluster_floats(values, tol: float = 1e-6) -> list[tuple[float, int]]:
     if group:
         out.append((sum(group) / len(group), len(group)))
     return out
+
+
+def order_stacks(orders) -> list[list[int]]:
+    """The indices of a batch of square matrices of the given orders,
+    grouped by order (first appearance first) and cut into stacks of at most
+    _STACK_ELEMENTS matrix elements; a single larger matrix is a stack alone."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(orders):
+        groups.setdefault(n, []).append(i)
+    stacks = []
+    for n, members in groups.items():
+        size = max(1, _STACK_ELEMENTS // (n * n))
+        stacks.extend(members[s:s + size] for s in range(0, len(members), size))
+    return stacks
 
 
 # ---------------------------------------------------------------------------

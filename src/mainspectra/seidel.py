@@ -21,6 +21,7 @@ from .linalg import (
     cluster_floats,
     distinct_root_count,
     extract_integer_roots,
+    order_stacks,
     poly_mul,
     poly_pow,
     poly_trim,
@@ -125,14 +126,19 @@ def seidel_reports(graphs) -> list[SeidelReport]:
     graph; one char_polys call for all of them.
 
     The float eigenvalues are only reported (float_spectrum); no decision
-    reads them.
+    reads them.  They come from one eigvalsh per stack of same-order
+    Seidel matrices (see linalg.order_stacks).
     """
     graphs = list(graphs)
     mats = [seidel_matrix(g) for g in graphs]
+    floats: list = [None] * len(mats)
+    for stack in order_stacks([len(s) for s in mats]):
+        values = np.linalg.eigvalsh(np.array([mats[i] for i in stack], dtype=float))
+        for i, row in zip(stack, values.tolist()):
+            floats[i] = row
     reports = []
-    for g, s, cp in zip(graphs, mats, char_polys(mats)):
+    for g, s, cp, values in zip(graphs, mats, char_polys(mats), floats):
         distinct, spectrum = _seidel_root_data(cp)
-        floats = np.linalg.eigvalsh(s.astype(float)).tolist()
         reports.append(
             SeidelReport(
                 n=g.n,
@@ -141,7 +147,7 @@ def seidel_reports(graphs) -> list[SeidelReport]:
                 strong=_is_strong(s),
                 regular_two_graph=g.n >= 2 and distinct == 2,
                 spectrum=spectrum,
-                float_spectrum=tuple(cluster_floats(sorted(floats))),
+                float_spectrum=tuple(cluster_floats(sorted(values))),
             )
         )
     return reports

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import Graph, degree_vector, is_connected
-from .linalg import eigenvalues_float
+from .linalg import _PRIME_TOP, _STACK_ELEMENTS, order_stacks, primes_below
 
 
 def fraction_to_json(f):
@@ -127,30 +129,231 @@ def _apply_adjacency(g: Graph, vec) -> list[int]:
     return out
 
 
-def main_eigenvalue_count(g: Graph) -> int:
-    """Rank of the walk matrix, found incrementally on the walk vectors.
+# A lane that has discarded this many primes as unlucky (the walk rank
+# modulo them fell below the true one) raises; near 2^26 none is expected.
+_UNLUCKY_PRIMES = 4
+# _reduce subtracts this many products below 2^52 at a time, staying below 2^63.
+_DOT_TERMS = 1 << 10
 
-    Fraction-free echelon: each new walk vector v is reduced against every
-    basis row b with pivot p as v <- b[p] v - v[p] b, then divided by its
-    content, so every entry stays an integer.  The count stops at the first
-    walk vector that depends on its predecessors.
+
+def _walk_step(a, x, p):
+    """A x modulo p per lane, for a float64 adjacency stack a (b, n, n),
+    residues x (b, n) and primes p (b, 1): exact in float64, as every
+    partial sum stays below n p < 2^53."""
+    return np.remainder(np.matmul(a, x[:, :, None])[:, :, 0], p)
+
+
+def _reduce(x, f, rows, p):
+    """x - sum_i f[:, i] rows[:, i] modulo p per lane, in int64: x (b, m),
+    f (b, k) and rows (b, k, m) hold residues below p < 2^26."""
+    for s in range(0, f.shape[1], _DOT_TERMS):
+        x = (x - np.matmul(f[:, None, s:s + _DOT_TERMS], rows[:, s:s + _DOT_TERMS])[:, 0]) % p
+    return x
+
+
+def _walk_dependencies(a, primes) -> tuple[list[int], list]:
+    """The walk rank of each matrix of a float64 adjacency stack a (b, n, n)
+    modulo its lane's prime, and the monic dependency there.
+
+    The walk vectors j, A j, A^2 j, ... are made one step at a time modulo
+    p and reduced against a reduced echelon basis whose pivots are 1.  Each
+    basis row carries, in its last n columns, its combination of the walk
+    vectors, so a walk vector A^k j enters as itself next to e_k.  A lane
+    stops at its first walk vector A^r j that reduces to zero: its rank is
+    r, and the combination's coefficients [m_0, ..., m_r = 1], in [0, p),
+    give m(A) j = 0 modulo p.  A lane independent to the end has rank n and
+    dependency None.
     """
-    basis: list[tuple[int, list[int]]] = []
-    vec = [1] * g.n
-    for _ in range(g.n):
-        red = vec
-        for pivot, row in basis:
-            f = red[pivot]
-            if f:
-                b = row[pivot]
-                red = [b * x - f * y for x, y in zip(red, row)]
-        pivot = next((i for i, x in enumerate(red) if x), None)
-        if pivot is None:
-            break
-        content = math.gcd(*red)
-        basis.append((pivot, [x // content for x in red]))
-        vec = _apply_adjacency(g, vec)
-    return len(basis)
+    b, n = a.shape[:2]
+    p = np.array(primes, dtype=np.int64).reshape(b, 1)
+    ranks, deps = [n] * b, [None] * b
+    lanes = np.arange(b)
+    walk = np.ones((b, n))
+    basis = np.zeros((b, 0, 2 * n), np.int64)
+    pivots = np.zeros((b, 0), np.intp)
+    for k in range(n):
+        x = np.zeros((len(walk), 2 * n), np.int64)
+        x[:, :n] = walk
+        x[:, n + k] = 1
+        rows = np.arange(len(x))
+        x = _reduce(x, x[rows[:, None], pivots], basis, p)
+        dependent = ~x[:, :n].any(axis=1)
+        if dependent.any():
+            for lane, dep in zip(lanes[dependent].tolist(), x[dependent, n:n + k + 1].tolist()):
+                ranks[lane], deps[lane] = k, dep
+            keep = ~dependent
+            if not keep.any():
+                break
+            a, p, lanes, walk, x, basis, pivots = (
+                y[keep] for y in (a, p, lanes, walk, x, basis, pivots)
+            )
+            rows = rows[: len(x)]
+        pivot = (x[:, :n] != 0).argmax(axis=1)
+        lead = x[rows, pivot].tolist()
+        x = x * np.array([[pow(c, -1, q)] for c, q in zip(lead, p[:, 0].tolist())]) % p
+        column = basis[rows, :, pivot][:, :, None]
+        basis = np.concatenate([(basis - column * x[:, None]) % p[:, :, None], x[:, None]], 1)
+        pivots = np.concatenate([pivots, pivot[:, None]], axis=1)
+        walk = _walk_step(a, walk, p)
+    return ranks, deps
+
+
+def _next_prime(primes) -> int:
+    q = next(primes, None)
+    if q is None:
+        raise AssertionError("walk rank certificate ran out of primes")
+    return q
+
+
+def _crt(residues) -> tuple[list[int], int]:
+    """The coefficient lists [(q, coefficients mod q), ...] lifted by CRT
+    into the symmetric range of the product of the q, and that product."""
+    product, lift = 1, []
+    for q, coeffs in residues:
+        t = pow(product, -1, q)
+        lift = [x + product * ((c - x) * t % q) for x, c in zip(lift or [0] * len(coeffs), coeffs)]
+        product *= q
+    half = product // 2
+    return [x - product if x > half else x for x in lift], product
+
+
+def _stack_runs(a, jobs, run):
+    """run(stack, jobs) over the jobs (matrix index into a, ...) in groups
+    within _STACK_ELEMENTS, each on the stack of its matrices; a itself when
+    a group is all of a in order, so a single large matrix is not copied."""
+    n = a.shape[-1]
+    size = max(1, _STACK_ELEMENTS // (n * n))
+    out = []
+    for s in range(0, len(jobs), size):
+        group = jobs[s:s + size]
+        rows = [job[0] for job in group]
+        out.extend(run(a if rows == list(range(len(a))) else a[rows], group))
+    return out
+
+
+def _dependency_run(stack, jobs):
+    ranks, deps = _walk_dependencies(stack, [q for _, q in jobs])
+    return zip(ranks, deps)
+
+
+def _vanishes_run(stack, jobs):
+    """Whether m(A) j = 0 modulo q for each job (matrix, q, m), by Horner's
+    rule over the lanes at once; lower-degree m are padded with leading zeros."""
+    p = np.array([[q] for _, q, _ in jobs], dtype=np.int64)
+    top = max(len(m) for _, _, m in jobs)
+    coeffs = np.array([[c % q for c in m] + [0] * (top - len(m)) for _, q, m in jobs], float)
+    h = np.repeat(coeffs[:, -1:], stack.shape[-1], axis=1)
+    for i in range(top - 2, -1, -1):
+        h = np.remainder(_walk_step(stack, h, p) + coeffs[:, i:i + 1], p)
+    return (~h.any(axis=1)).tolist()
+
+
+def _walk_ranks(a) -> list[int]:
+    """The main-eigenvalue count of each matrix of a float64 adjacency stack
+    a (b, n, n), each one proven.
+
+    The walk rank modulo a prime q never exceeds the rank over Q, so rank n
+    modulo q is proof.  Below n, the lane's rank R and dependency modulo
+    each prime of rank R are lifted by CRT once the primes' product P
+    exceeds 2 (1 + D)^R, D the largest degree: the main polynomial has
+    integer coefficients |m_i| <= C(R, i) D^(R - i), as its roots are
+    distinct eigenvalues, each at most D in absolute value.  The lift M is
+    monic of degree R and M(A) j vanishes modulo every prime it came from;
+    |M(A) j| <= B = sum |M_i| D^i, so M(A) j = 0 exactly once it vanishes
+    modulo primes of product above B: those of the lift when P > B, else
+    also further primes on which it is evaluated.  Then A^R j lies in the
+    span of j, ..., A^(R-1) j over Q, and the rank is R.  A prime of lower
+    rank than another, or whose lift fails that check, was unlucky, and the
+    lane moves on to more primes; after _UNLUCKY_PRIMES of them, or when the
+    primes run out, AssertionError.
+    """
+    b, n = a.shape[:2]
+    degrees = a.sum(axis=2).max(axis=1).astype(np.int64).tolist()
+    primes = primes_below(_PRIME_TOP)
+    counts: list = [None] * b
+    floor = [0] * b  # the rank over Q is at least this
+    found: list = [[] for _ in range(b)]  # (q, dependency) for the primes of rank floor
+    unlucky = [0] * b
+    want = {lane: 1 for lane in range(b)}
+    while want:
+        fresh = [_next_prime(primes) for _ in range(max(want.values()))]
+        jobs = [(lane, q) for lane, count in want.items() for q in fresh[:count]]
+        for (lane, q), (r, dep) in zip(jobs, _stack_runs(a, jobs, _dependency_run)):
+            if counts[lane] is not None:
+                continue
+            if r == n:
+                counts[lane] = n
+            elif r > floor[lane]:
+                unlucky[lane] += len(found[lane])
+                floor[lane], found[lane] = r, [(q, dep)]
+            elif r == floor[lane]:
+                found[lane].append((q, dep))
+            else:
+                unlucky[lane] += 1
+        want, checks, evaluations, extra = {}, [], [], []
+        for lane in range(b):
+            if counts[lane] is not None:
+                continue
+            if unlucky[lane] >= _UNLUCKY_PRIMES:
+                raise AssertionError(f"walk rank certificate met {unlucky[lane]} unlucky primes")
+            lift, product = _crt(found[lane])
+            delta = degrees[lane]
+            target = 2 * (1 + delta) ** floor[lane]
+            if not found[lane] or product <= target:
+                # each further prime adds over 25 bits: the first 1.9 million
+                # primes below 2^26 exceed 2^25 (fewer bits only mean a later round)
+                want[lane] = max(1, -(-(target // product).bit_length() // 25))
+                continue
+            bound = sum(abs(c) * delta**i for i, c in enumerate(lift))
+            checks.append(lane)
+            i = 0
+            while product <= bound:
+                if i == len(extra):
+                    extra.append(_next_prime(primes))
+                product *= extra[i]
+                evaluations.append((lane, extra[i], lift))
+                i += 1
+        failed = {
+            lane
+            for (lane, _, _), zero in zip(evaluations, _stack_runs(a, evaluations, _vanishes_run))
+            if not zero
+        }
+        for lane in checks:
+            if lane in failed:  # every prime of rank floor was unlucky
+                unlucky[lane] += len(found[lane])
+                floor[lane], found[lane] = floor[lane] + 1, []
+                want[lane] = 1
+            else:
+                counts[lane] = floor[lane]
+    return counts
+
+
+def _adjacency_stack(graphs) -> np.ndarray:
+    """The float64 adjacency matrices of same-order graphs, stacked."""
+    n = graphs[0].n
+    a = np.empty((len(graphs), n, n))
+    for s, g in enumerate(graphs):
+        a[s] = g.adjacency_matrix()
+    return a
+
+
+def main_eigenvalue_counts(graphs) -> list[int]:
+    """The number of main eigenvalues of each graph: the rank of its walk
+    matrix (columns j, A j, A^2 j, ...), found modulo primes and proven
+    exactly (see _walk_ranks); one kernel per stack of same-order graphs
+    (see linalg.order_stacks)."""
+    graphs = list(graphs)
+    counts = [0] * len(graphs)
+    for stack in order_stacks([g.n for g in graphs]):
+        for i, k in zip(stack, _walk_ranks(_adjacency_stack([graphs[i] for i in stack]))):
+            counts[i] = k
+    return counts
+
+
+def main_eigenvalue_count(g: Graph) -> int:
+    """The number of main eigenvalues of g: the batch of one of
+    main_eigenvalue_counts."""
+    return main_eigenvalue_counts([g])[0]
 
 
 def two_walk_params(g: Graph) -> TwoWalkParams | None:
@@ -203,25 +406,45 @@ def _harmonic_delta(d: list[int], tw: TwoWalkParams | None) -> Fraction | None:
     return tw.alpha if tw.beta == 0 else None
 
 
+def _ranks_and_radii(graphs) -> tuple[list[int], list[float]]:
+    """Main-eigenvalue counts and spectral radii of same-order graphs, from
+    one adjacency stack, which is freed on return."""
+    a = _adjacency_stack(graphs)
+    return _walk_ranks(a), np.linalg.eigvalsh(a).max(axis=1).tolist()
+
+
+def main_spectrum_reports(graphs) -> list[MainSpectrumReport]:
+    """Full main-spectrum report for each graph.  The graphs of one order
+    share an adjacency stack: one walk-rank kernel and one eigvalsh for the
+    spectral radius (reported only; no decision reads it)."""
+    graphs = list(graphs)
+    counts, radii = [0] * len(graphs), [0.0] * len(graphs)
+    for stack in order_stacks([g.n for g in graphs]):
+        for i, k, rho in zip(stack, *_ranks_and_radii([graphs[i] for i in stack])):
+            counts[i], radii[i] = k, rho
+    reports = []
+    for g, k, rho in zip(graphs, counts, radii):
+        d = degree_vector(g)
+        tw = two_walk_params(g)
+        if (tw is not None) != (k == 2):
+            raise AssertionError("walk rank and two-walk test disagree")
+        reports.append(
+            MainSpectrumReport(
+                n=g.n,
+                edges=sum(d) // 2,
+                connected=is_connected(g),
+                regular=len(set(d)) == 1,
+                main_count=k,
+                two_walk=tw,
+                harmonic_delta=_harmonic_delta(d, tw),
+                main_values=main_values(tw) if tw is not None else None,
+                spectral_radius=rho,
+            )
+        )
+    return reports
+
+
 def analyze(g: Graph) -> MainSpectrumReport:
-    """Full main-spectrum report for one graph."""
-    d = degree_vector(g)
-    regular = len(set(d)) == 1
-    k = main_eigenvalue_count(g)
-    tw = two_walk_params(g)
-    if (tw is not None) != (k == 2):
-        raise AssertionError("walk rank and two-walk test disagree")
-    mv = main_values(tw) if tw is not None else None
-    # cast first, so no int64 copy stays alive across eigvalsh
-    rho = max(eigenvalues_float(g.adjacency_matrix().astype(float)))
-    return MainSpectrumReport(
-        n=g.n,
-        edges=sum(d) // 2,
-        connected=is_connected(g),
-        regular=regular,
-        main_count=k,
-        two_walk=tw,
-        harmonic_delta=_harmonic_delta(d, tw),
-        main_values=mv,
-        spectral_radius=rho,
-    )
+    """Full main-spectrum report for one graph: the batch of one of
+    main_spectrum_reports."""
+    return main_spectrum_reports([g])[0]

@@ -8,6 +8,9 @@ check the package against them.
 - rank_exact: rank over the rationals by fraction-free elimination of the
   whole matrix; the walk-rank and strong-graph reference.
 - walk_matrix: the full walk matrix (columns j, Aj, A^2 j, ...).
+- walk_rank_echelon: the main-eigenvalue count by a fraction-free echelon
+  of the walk vectors over the integers, stopping at the first dependent
+  one; the reference of the modular walk-rank kernel.
 - existence_check: which integer pairs (alpha, beta) some connected graph
   realizes.
 - harmonic_delta_walk: the delta with A d = delta d from its own Fraction
@@ -182,6 +185,32 @@ def walk_matrix(g: Graph) -> list[list[int]]:
     for _ in range(g.n - 1):
         cols.append(_apply_adjacency(g, cols[-1]))
     return [[cols[j][i] for j in range(g.n)] for i in range(g.n)]
+
+
+def walk_rank_echelon(g: Graph) -> int:
+    """Rank of the walk matrix, found incrementally on the walk vectors.
+
+    Fraction-free echelon: each new walk vector v is reduced against every
+    basis row b with pivot p as v <- b[p] v - v[p] b, then divided by its
+    content, so every entry stays an integer.  The count stops at the first
+    walk vector that depends on its predecessors.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    vec = [1] * g.n
+    for _ in range(g.n):
+        red = vec
+        for pivot, row in basis:
+            f = red[pivot]
+            if f:
+                b = row[pivot]
+                red = [b * x - f * y for x, y in zip(red, row)]
+        pivot = next((i for i, x in enumerate(red) if x), None)
+        if pivot is None:
+            break
+        content = math.gcd(*red)
+        basis.append((pivot, [x // content for x in red]))
+        vec = _apply_adjacency(g, vec)
+    return len(basis)
 
 
 def existence_check(alpha: int, beta: int) -> bool:

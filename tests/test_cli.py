@@ -11,6 +11,8 @@ from mainspectra import (
     parse_graph6,
     refine_to_equitable,
     seidel_report,
+    star,
+    symplectic_graph,
     t_lambda_tree,
     valency_partition,
     write_graph6,
@@ -294,6 +296,33 @@ def test_census_contradiction_exits_3(capsys, tmp_path):
     base.write_text("DhC\n")  # the 5-path: three main eigenvalues
     err = _one_line_error(capsys, ["census", "--base", str(base)], 3)
     assert "without two-walk parameters" in err
+
+
+SELF_CHECK_FAULTS = [
+    # (module, name, stand-in, analyze flags, input graph, message)
+    ("spectrum", "_walk_ranks", lambda a: [3] * len(a), [], star(4),
+     "walk rank and two-walk test disagree"),
+    ("spectrum", "primes_below", lambda top: iter([2]), [], star(4),
+     "walk rank certificate ran out of primes"),
+    ("linalg", "_coefficient_bound", lambda stack: 1, ["--seidel"], symplectic_graph(2),
+     "check prime disagrees"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, flags, graph, message", SELF_CHECK_FAULTS,
+    ids=["walk-rank", "primes", "check-prime"],
+)
+def test_failed_self_check_exits_4(capsys, tmp_path, monkeypatch, module, name, fake, flags,
+                                   graph, message):
+    from importlib import import_module
+
+    monkeypatch.setattr(import_module(f"mainspectra.{module}"), name, fake)
+    path = tmp_path / "g.g6"
+    path.write_text(write_graph6(graph) + "\n")
+    err = _one_line_error(capsys, ["analyze", *flags, str(path)], cli.EXIT_SELF_CHECK)
+    assert cli.EXIT_SELF_CHECK == 4
+    assert err.startswith("mainspectra analyze: self-check failed: ") and message in err
 
 
 HEADER = "alpha,beta,mu0,mu1,valencies,count\n"

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import os
@@ -15,20 +16,26 @@ from hypothesis import given, settings
 from mainspectra import (
     analyze,
     char_poly,
+    circulant,
+    complete,
     cone,
     cycle,
     degree_vector,
     graph_from_edges,
     harmonic_delta,
     main_eigenvalue_count,
+    main_eigenvalue_counts,
     main_values,
     path,
     seidel_matrix,
+    sp_component,
     star,
+    symplectic_graph,
     t_lambda_tree,
     three_valenced_boundary,
     two_walk_params,
 )
+from mainspectra.seidel import switch_mask
 from mainspectra.spectrum import QuadraticPair, TwoWalkParams
 
 from conftest import graphs
@@ -38,6 +45,7 @@ from oracles import (
     poly_divides,
     rank_exact,
     walk_matrix,
+    walk_rank_echelon,
 )
 
 
@@ -70,26 +78,161 @@ def test_main_count_small():
 
 
 def test_main_count_equals_full_rank(connected_n_le_8):
-    for g in connected_n_le_8:
-        assert main_eigenvalue_count(g) == rank_exact(walk_matrix(g))
+    counts = main_eigenvalue_counts(connected_n_le_8)
+    assert counts == [rank_exact(walk_matrix(g)) for g in connected_n_le_8]
 
 
 def test_main_count_stops_at_first_dependent_walk(monkeypatch):
     from mainspectra import spectrum
 
     monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "256")
-    calls = []
-    apply = spectrum._apply_adjacency
+    products = []
+    step = spectrum._walk_step
 
-    def counted(g, vec):
-        calls.append(vec)
-        return apply(g, vec)
+    def counted(a, x, p):
+        products.append(len(x))  # one matrix-vector product per lane
+        return step(a, x, p)
 
-    monkeypatch.setattr(spectrum, "_apply_adjacency", counted)
+    monkeypatch.setattr(spectrum, "_walk_step", counted)
     g = t_lambda_tree(6)
     assert g.n == 187
     assert main_eigenvalue_count(g) == 2
-    assert len(calls) <= 2
+    assert sum(products) <= 2
+
+
+def _gnp(n: int, p: float, rng: random.Random):
+    return graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def test_main_counts_equal_the_echelon_oracle_on_the_corpora(all_n_le_7, connected_n_le_8):
+    for corpus in (all_n_le_7, connected_n_le_8):
+        assert main_eigenvalue_counts(corpus) == [walk_rank_echelon(g) for g in corpus]
+
+
+@pytest.mark.parametrize("terms", [None, 3], ids=["one-block", "blocks-of-3"])
+def test_main_counts_equal_the_echelon_oracle_on_random_graphs(monkeypatch, terms):
+    # blocks of 3 terms run the blocked reduction that n > 1024 needs
+    from mainspectra import spectrum
+
+    if terms:
+        monkeypatch.setattr(spectrum, "_DOT_TERMS", terms)
+    rng = random.Random(40)
+    sample = [_gnp(n, p, rng) for n in range(1, 41, 3) for p in (0.1, 0.3, 0.5, 0.8)]
+    counts = main_eigenvalue_counts(sample)
+    assert counts == [walk_rank_echelon(g) for g in sample]
+    assert len(set(counts)) > 10
+
+
+def test_main_counts_equal_the_echelon_oracle_on_families(monkeypatch):
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "256")  # t_lambda_tree(6) has 187 vertices
+    rng = random.Random(6)
+    sp6 = symplectic_graph(3)
+    families = [t_lambda_tree(lam) for lam in range(2, 7)]
+    families += [switch_mask(sp6, rng.getrandbits(64)) for _ in range(4)]
+    regular = [cycle(9), complete(12), petersen(), sp_component(3), circulant(20, [1, 4, 6])]
+    graphs = families + regular
+    counts = main_eigenvalue_counts(graphs)
+    assert counts == [walk_rank_echelon(g) for g in graphs]
+    assert counts[len(families):] == [1] * len(regular)
+    assert counts[:5] == [2] * 5
+
+
+def test_path_40_lifts_its_main_polynomial_over_two_primes(monkeypatch):
+    # walk rank 20 and lift bound 2 * 3^20 > 2^32: one prime below 2^26 is
+    # too few, so the dependency is rebuilt by CRT from two
+    from mainspectra import spectrum
+
+    lifts = []
+    crt = spectrum._crt
+
+    def recorded(residues):
+        lifts.append(len(residues))
+        return crt(residues)
+
+    monkeypatch.setattr(spectrum, "_crt", recorded)
+    assert main_eigenvalue_count(path(40)) == walk_rank_echelon(path(40)) == 20
+    assert lifts == [1, 2]
+
+
+def _primes_from(first, top=None):
+    """A stand-in for linalg.primes_below that yields first, then the real
+    primes below top (or nothing more when top is None)."""
+    from mainspectra import linalg
+
+    return lambda _top: itertools.chain(first, linalg.primes_below(top) if top else ())
+
+
+def test_an_unlucky_prime_is_outvoted(monkeypatch):
+    # modulo 2 the star K_{1,3} has A j = (3, 1, 1, 1) = j: walk rank 1, not 2
+    from mainspectra import spectrum
+
+    g = star(4)
+    assert spectrum._walk_dependencies(g.adjacency_matrix()[None].astype(float), [2])[0] == [1]
+    dependencies = spectrum._walk_dependencies
+    seen = []
+
+    def recorded(a, primes):
+        seen.extend(primes)
+        return dependencies(a, primes)
+
+    monkeypatch.setattr(spectrum, "primes_below", _primes_from([2], 1 << 26))
+    monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
+    assert main_eigenvalue_count(g) == 2
+    assert seen[0] == 2 and len(seen) >= 2
+
+
+def test_the_kernel_raises_when_the_primes_run_out(monkeypatch):
+    from mainspectra import spectrum
+
+    monkeypatch.setattr(spectrum, "primes_below", _primes_from([2]))
+    with pytest.raises(AssertionError, match="ran out of primes"):
+        main_eigenvalue_count(star(4))
+
+
+def test_the_certificate_evaluates_when_the_lift_primes_are_too_few(monkeypatch):
+    # K11 + K10 + K9: main polynomial (x - 10)(x - 9)(x - 8), largest degree
+    # 10, so the lift needs primes above 2 * 11^3 = 2662 while |M(A) j| is
+    # bounded by 20 * 19 * 18 = 6840; the one prime 4093 lifts M but is too
+    # small for that bound, and M(A) j is evaluated modulo the next prime
+    from mainspectra import linalg, spectrum
+
+    edges = [(u + s, v + s) for s, m in ((0, 11), (11, 10), (21, 9))
+             for v in range(m) for u in range(v)]
+    g = graph_from_edges(30, edges)
+    evaluated = []
+    vanishes = spectrum._vanishes_run
+
+    def recorded(stack, jobs):
+        evaluated.extend(q for _, q, _ in jobs)
+        return vanishes(stack, jobs)
+
+    monkeypatch.setattr(spectrum, "primes_below", lambda _top: linalg.primes_below(1 << 12))
+    monkeypatch.setattr(spectrum, "_vanishes_run", recorded)
+    assert main_eigenvalue_count(g) == walk_rank_echelon(g) == 3
+    assert evaluated == [4091]
+
+
+def test_a_wrong_dependency_is_caught_and_never_returned(monkeypatch):
+    # every dependency the elimination reports is replaced by one whose lift
+    # has large coefficients: the evaluation modulo fresh primes fails, the
+    # lane looks for a higher rank that no prime gives, and the kernel raises
+    from mainspectra import spectrum
+
+    dependencies = spectrum._walk_dependencies
+
+    def corrupted(a, primes):
+        ranks, deps = dependencies(a, primes)
+        return ranks, [None if d is None else [q // 2] * (len(d) - 1) + [1]
+                       for d, q in zip(deps, primes)]
+
+    monkeypatch.setattr(spectrum, "_walk_dependencies", corrupted)
+    with pytest.raises(AssertionError, match="unlucky primes"):
+        main_eigenvalue_count(path(5))
+
+
+def test_analyze_gnp_128_has_full_walk_rank():
+    g = _gnp(128, 0.5, random.Random(128))
+    assert analyze(g).main_count == 128
 
 
 def test_two_walk_params_oracle(all_n_le_7):
@@ -214,7 +357,7 @@ def test_analyze_checks_the_walk_rank_under_python_O():
     script = (
         "import sys\n"
         "from mainspectra import spectrum, star\n"
-        "spectrum.main_eigenvalue_count = lambda g: 3\n"
+        "spectrum._walk_ranks = lambda a: [3] * len(a)\n"
         "try:\n"
         "    spectrum.analyze(star(4))\n"
         "except AssertionError as exc:\n"
