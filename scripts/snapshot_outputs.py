@@ -11,9 +11,12 @@ PYTHONPATH=src) and writes into OUT_DIR:
              G(64, 1/2) (full walk rank)
   census/    census CSV (with --reference bundled --audit), the audit file
              and --format json, under both conventions, workers 1 and 2;
+             all-subsets --format json with workers 3 (an uneven split);
              census --format json on the bases K1, C5 plus an isolated
-             vertex and K4, one for each reason the structure checks skip;
-             census --reference on three malformed reference CSVs
+             vertex and K4, one for each reason the structure checks skip,
+             and all-subsets on the last two (representatives included);
+             census --reference on three malformed reference CSVs, and
+             --audit without --reference
   construct/ construct --format json for every recipe
   inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
@@ -94,11 +97,17 @@ def census_outputs(out: Path, inputs: Path) -> None:
                       "--reference", "bundled"]
             run(out, f"{name}.csv", common + ["--audit", str(out / f"{name}.audit.json")])
             run(out, f"{name}.json", common + ["--format", "json"])
+    run(out, "all-subsets.w3.json", ["census", "--convention", "all-subsets", "--workers", "3",
+                                     "--reference", "bundled", "--format", "json"])
     # not a regular two-graph; Seidel eigenvalues +-sqrt(5); trivial
     for name, graph6 in (("k1", "@"), ("c5_k1", "Ehc?"), ("k4", "C~")):
         base = inputs / f"base_{name}.g6"
         base.write_text(f"{graph6}\n")
         run(out, f"base.{name}.json", ["census", "--base", str(base), "--format", "json"])
+        if name != "k1":
+            run(out, f"base.{name}.all-subsets.json", ["census", "--base", str(base),
+                                                       "--convention", "all-subsets",
+                                                       "--format", "json"])
     header = "alpha,beta,mu0,mu1,valencies,count\n"
     row = '8,-9,4+sqrt(7),4-sqrt(7),"3^1,5^3,7^12",240\n'
     malformed = {
@@ -110,6 +119,8 @@ def census_outputs(out: Path, inputs: Path) -> None:
         reference = inputs / f"reference_{name}.csv"
         reference.write_text(text)
         run(out, f"reference.{name}", ["census", "--reference", str(reference)])
+    run(out, "audit-without-reference",
+        ["census", "--r", "1", "--audit", str(inputs / "unwritten.audit.json")])
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:

@@ -1,7 +1,8 @@
 """Exhaustive census of a switching class.
 
 Enumerates every switch of a base graph (one subset per bipartition, i.e.
-2^(n-1) subsets avoiding vertex 0, or all 2^n subsets), classifies each
+2^(n-1) subsets avoiding vertex 0, or all 2^n subsets, whose complementary
+pairs are built once and counted twice), classifies each
 member exactly, and aggregates counts keyed by (two-walk parameters or
 regular, valency multiset, connectivity).  Members are processed in blocks:
 one numpy pass over a block's adjacency tensor computes every member's
@@ -59,9 +60,18 @@ def _check_size(n: int) -> None:
         raise ValueError(f"switching class too large: n={n} > {MAX_CENSUS_VERTICES}")
 
 
-def _shift(convention: Convention) -> int:
-    """Subset index sub stands for the switching mask sub << shift."""
-    return 1 if convention is Convention.UP_TO_COMPLEMENT else 0
+def _enumeration(convention: Convention) -> tuple[int, int]:
+    """(shift, weight) of a convention.
+
+    Both conventions run the subset indices 0..2^(n-1)-1; index sub
+    switches the mask sub << shift, and its member counts weight times.
+    Switching by U and by its complement gives the same graph, so under
+    all-subsets the mask sub, which never switches vertex n-1, also stands
+    for its complement, the larger mask of the pair, whose member is
+    bit-identical to the one built and checked."""
+    if convention is Convention.UP_TO_COMPLEMENT:
+        return 1, 1
+    return 0, 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,37 +462,43 @@ def census_table(
 ) -> CensusTable:
     """Aggregate the full switching-class census of the base graph.
 
-    Deterministic for any worker count: the subsets split into `workers`
-    disjoint ranges, run on at most one process per CPU, and the merge adds
-    exact counts keyed identically.  Every member's Seidel power sums
-    p_1..p_n are checked, inside the workers, against those of the base's
-    Seidel characteristic polynomial (exactly in int64 for n <= 16, modulo
-    primes whose product exceeds twice the bound n^2 (n-1)^(n-2) for
-    17 <= n <= 24; see `_power_sum_moduli`), and when the class is a
-    non-trivial regular two-graph the representative of every row is
+    Deterministic for any worker count: the 2^(n-1) subset indices split
+    into min(workers, 2^(n-1)) disjoint ranges, run on at most one process
+    per CPU, and the merge adds exact counts keyed identically.  Under
+    all-subsets each index builds one member of a complementary pair, which
+    counts twice (see `_enumeration`); its representative, the smaller mask
+    of the pair, is the one a 2^n enumeration would keep.  Every member's
+    Seidel power sums p_1..p_n are checked, inside the workers, against
+    those of the base's Seidel characteristic polynomial (exactly in int64
+    for n <= 16, modulo primes whose product exceeds twice the bound
+    n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`), and when
+    the class is a non-trivial regular two-graph the representative of every row is
     re-checked against the forced spectral structure.  For every base, each
     row's representative must reproduce the row's whole key under the
     one-graph code.  ``verification`` on the result says what was checked
-    and what skipped.
+    and what skipped; its seidel_members_checked counts members (2^n under
+    all-subsets), each of whose Seidel matrices is bit-identical to one
+    the kernel checked.
     """
     convention = Convention(convention)
     _check_size(base.n)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    shift = _shift(convention)
-    total = 1 << (base.n - shift)
+    shift, weight = _enumeration(convention)
+    subsets = 1 << (base.n - 1)
     base_rep = seidel_report(base)
     targets = _power_sum_targets(base_rep.seidel_char_poly)
     base_adj = base.adjacency_matrix()
-    bounds = [total * i // workers for i in range(workers + 1)]
-    jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(workers)]
-    if workers == 1:
+    ranges = min(workers, subsets)
+    bounds = [subsets * i // ranges for i in range(ranges + 1)]
+    jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(ranges)]
+    if ranges == 1:
         parts = [_census_chunk(jobs[0])]
     else:
-        with get_context("fork").Pool(min(workers, os.cpu_count() or 1)) as pool:
+        with get_context("fork").Pool(min(ranges, os.cpu_count() or 1)) as pool:
             parts = pool.map(_census_chunk, jobs)
     merged = _merge(
-        (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), count, rep)
+        (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), weight * count, rep)
         for counts in parts
         for key, (count, rep) in counts.items()
     )
@@ -504,7 +520,7 @@ def census_table(
         rows=rows,
         totals=totals,
         verification={
-            "seidel_members_checked": total,
+            "seidel_members_checked": weight * subsets,
             "structure_checks": "skipped" if skip_reason else "ran",
             "structure_skip_reason": skip_reason,
         },
@@ -523,17 +539,19 @@ def verify_switching_invariance_exhaustive(
     Runs the census kernel's power-sum check alone: each member's p_1..p_n
     from exact matrix powers against the base's, derived from its
     Faddeev-LeVerrier characteristic polynomial by Newton's identities.
-    Returns the number of members checked.
+    Returns the number of members checked: 2^(n-1) up to complement, 2^n
+    under all-subsets, where each of the 2^(n-1) matrices built stands for
+    itself and its complement's bit-identical one (see `_enumeration`).
     """
     convention = Convention(convention)
     _check_size(base.n)
-    shift = _shift(convention)
-    total = 1 << (base.n - shift)
+    shift, weight = _enumeration(convention)
+    subsets = 1 << (base.n - 1)
     targets = _power_sum_targets(char_poly(seidel_matrix(base)))
     kernel = _BlockKernel(base.adjacency_matrix(), shift)
-    for subs, adj in kernel.blocks(0, total):
+    for subs, adj in kernel.blocks(0, subsets):
         kernel.check_power_sums(adj, subs, targets)
-    return total
+    return weight * subsets
 
 
 # ---------------------------------------------------------------------------

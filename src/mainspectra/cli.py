@@ -7,8 +7,9 @@ live in the test suite only.
 Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
 errors, unreadable or malformed files, out-of-range parameters, analyze
---format csv with --seidel or --equitable); 3 when a
-census member contradicts the structure its switching class forces; 4 when
+--format csv with --seidel or --equitable, census --audit without
+--reference); 3 when a census member contradicts the structure its
+switching class forces; 4 when
 one of the program's own self-checks fails (the walk rank and the two-walk
 test disagree, char_polys' check prime disagrees, or the walk-rank
 certificate runs out of primes).
@@ -168,6 +169,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    if args.audit and not args.reference:
+        raise ValueError("--audit needs --reference: there is nothing to audit against")
     if args.base:
         with open(args.base) as fh:
             base = parse_graph6(fh.readline().strip())

@@ -132,14 +132,15 @@ def test_census_worker_determinism_small():
     assert len(csvs) == 1
 
 
-def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
-    # 1,000 workers split the subsets into 1,000 ranges but start no more
-    # processes than there are CPUs; the fake pool maps in this process
-    started = []
+def _fake_pool(monkeypatch, max_jobs):
+    """Make census pools map in this process; return the list of (processes,
+    jobs) each pool saw.  A pool handed more than max_jobs jobs fails before
+    running any of them."""
+    pools = []
 
     class FakePool:
         def __init__(self, processes):
-            started.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -148,19 +149,40 @@ def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
             return False
 
         def map(self, fn, jobs):
-            assert len(jobs) == 1000
+            pools.append((self.processes, len(jobs)))
+            assert len(jobs) <= max_jobs
             return [fn(job) for job in jobs]
 
     class FakeContext:
         Pool = FakePool
 
+    monkeypatch.setattr(census, "get_context", lambda method: FakeContext())
+    return pools
+
+
+def test_census_starts_at_most_one_process_per_cpu(monkeypatch):
+    # 1,000 workers split K7's 64 subsets into 64 ranges, one per subset,
+    # and start no more processes than there are CPUs
     base = complete(7)
     one = census_table(base, workers=1)
-    monkeypatch.setattr(census, "get_context", lambda method: FakeContext())
+    pools = _fake_pool(monkeypatch, 1000)
     many = census_table(base, workers=1000)
-    assert len(started) == 1 and 1 <= started[0] <= (os.cpu_count() or 1)
+    assert len(pools) == 1 and 1 <= pools[0][0] <= (os.cpu_count() or 1)
+    assert pools[0][1] == 64
     assert many.to_csv() == one.to_csv()
     assert many.verification == one.verification
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_census_huge_worker_count_on_a_small_base(monkeypatch, convention):
+    # a million workers on the 8 subset indices of Sp(2) build 8 ranges
+    base = symplectic_graph(1)
+    one = census_table(base, convention, workers=1)
+    pools = _fake_pool(monkeypatch, 8)
+    many = census_table(base, convention, workers=10**6)
+    assert pools == [(min(8, os.cpu_count() or 1), 8)]
+    assert many.to_csv() == one.to_csv()
+    assert many.to_json() == one.to_json()
 
 
 def test_census_relabel_invariance():
@@ -295,6 +317,24 @@ def test_batched_keys_match_oracle_on_small_bases(all_n_le_7, convention):
         assert checked == len(oracle)
 
 
+def test_complementary_masks_give_one_member(all_n_le_7):
+    # all-subsets builds one member per complementary pair and counts it twice
+    for base in all_n_le_7:
+        full = (1 << base.n) - 1
+        for mask in range(1 << (base.n - 1)):  # the pairs {mask, full ^ mask}
+            assert switch_mask(base, mask) == switch_mask(base, full ^ mask)
+        kernel = _BlockKernel(base.adjacency_matrix(), 0)
+        tensor = np.concatenate([adj.copy() for _, adj in kernel.blocks(0, full + 1)])
+        assert np.array_equal(tensor, tensor[::-1])  # index full - m is full ^ m
+
+
+def test_invariance_check_counts_all_subsets():
+    for base in (complete(1), complete(4), cycle(5), symplectic_graph(2)):
+        checked = verify_switching_invariance_exhaustive(base, Convention.ALL_SUBSETS)
+        assert checked == 1 << base.n
+        assert verify_switching_invariance_exhaustive(base) == 1 << (base.n - 1)
+
+
 @pytest.mark.parametrize("convention", list(Convention))
 def test_batched_keys_match_oracle_on_sp4_chunks(convention):
     base = symplectic_graph(2)
@@ -369,6 +409,16 @@ def test_corrupted_member_is_named(monkeypatch):
         census_table(base)
     with pytest.raises(ClassificationError, match=r"at subset 777$"):
         verify_switching_invariance_exhaustive(base)
+
+
+def test_corrupted_all_subsets_member_is_named(monkeypatch):
+    # index 777 is the mask 777 itself under all-subsets (vertex 0 switched)
+    _corrupt(monkeypatch, 777)
+    base = symplectic_graph(2)
+    with pytest.raises(ClassificationError, match=r"at subset 777\b"):
+        census_table(base, Convention.ALL_SUBSETS)
+    with pytest.raises(ClassificationError, match=r"at subset 777$"):
+        verify_switching_invariance_exhaustive(base, Convention.ALL_SUBSETS)
 
 
 def test_corrupted_member_caught_by_power_sums(monkeypatch):

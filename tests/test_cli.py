@@ -285,6 +285,13 @@ def test_census_bad_input_exits_2(capsys, argv, message):
     assert message in _one_line_error(capsys, argv, 2)
 
 
+def test_census_audit_without_reference_exits_2(capsys, tmp_path):
+    audit = tmp_path / "audit.json"
+    err = _one_line_error(capsys, ["census", "--r", "1", "--audit", str(audit)], 2)
+    assert "--audit needs --reference" in err
+    assert not audit.exists()
+
+
 def test_census_malformed_base_exits_2(capsys, tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("")
