@@ -7,14 +7,17 @@ PYTHONPATH=src) and writes into OUT_DIR:
   analyze/   analyze --seidel --equitable --format json, and --format csv,
              on each data/*.g6; analyze on a 129-vertex graph6 line next to
              a valid one under the default vertex cap of 128; analyze
-             --format json on path(40) (walk rank 20) and on a seeded
-             G(64, 1/2) (full walk rank)
+             under a malformed MAINSPECTRA_VERTEX_CAP; analyze --format
+             json on path(40) (walk rank 20) and on a seeded G(64, 1/2)
+             (full walk rank)
   census/    census CSV (with --reference bundled --audit), the audit file
              and --format json, under both conventions, workers 1 and 2;
              all-subsets --format json with workers 3 (an uneven split);
              census --format json on the bases K1, C5 plus an isolated
              vertex and K4, one for each reason the structure checks skip,
              and all-subsets on the last two (representatives included);
+             census --format json on K17 (power sums compared modulo
+             primes) and on a K4 base file that starts with a blank line;
              census --reference on three malformed reference CSVs, and
              --audit without --reference
   construct/ construct --format json for every recipe
@@ -82,6 +85,7 @@ def analyze_outputs(out: Path) -> None:
     # line 1 is over the default cap of 128 vertices; line 2 is C5
     run(out, "over-cap", ["analyze"], stdin=f"{graph6_line(129, [])}\nDhc\n",
         MAINSPECTRA_VERTEX_CAP="128")
+    run(out, "bad-cap", ["analyze"], stdin="Dhc\nDhc\n", MAINSPECTRA_VERTEX_CAP="abc")
     rng = random.Random(RANDOM_SEED)
     gnp = [(u, v) for v in range(64) for u in range(v) if rng.random() < 0.5]
     for name, line in (("path40", graph6_line(40, [(v - 1, v) for v in range(1, 40)])),
@@ -108,6 +112,12 @@ def census_outputs(out: Path, inputs: Path) -> None:
             run(out, f"base.{name}.all-subsets.json", ["census", "--base", str(base),
                                                        "--convention", "all-subsets",
                                                        "--format", "json"])
+    k17 = inputs / "base_k17.g6"
+    k17.write_text(graph6_line(17, [(u, v) for v in range(17) for u in range(v)]) + "\n")
+    run(out, "base.k17.json", ["census", "--base", str(k17), "--format", "json"])
+    padded = inputs / "base_k4_padded.g6"
+    padded.write_text("\nC~\n")
+    run(out, "base.k4-padded.json", ["census", "--base", str(padded), "--format", "json"])
     header = "alpha,beta,mu0,mu1,valencies,count\n"
     row = '8,-9,4+sqrt(7),4-sqrt(7),"3^1,5^3,7^12",240\n'
     malformed = {

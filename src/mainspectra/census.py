@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
-from .linalg import char_poly, primes_below
+from .linalg import _moduli, char_poly
 from .seidel import (
     non_main_eigenvalues,
     seidel_matrix,
@@ -97,27 +97,22 @@ def _power_sum_moduli(n: int) -> tuple[int, ...]:
 
     For the Seidel matrix S of an n-vertex graph |S^k|_ij <= (n-1)^(k-1), so
     the float64 powers up to ceil(n/2) are exact integers while
-    (n-1)^(ceil(n/2)-1) < 2^52, which holds for every n <= 24 (the margin
-    keeps their reduction modulo a prime exact in float64 too).  The sums
+    (n-1)^(ceil(n/2)-1) < 2^52, which holds for every n <= 24.  The sums
     p_(a+b) = <S^a, S^b> satisfy |p_k| <= n^2 (n-1)^(k-2).  While that bound
     fits int64 (n <= 16) they are compared exactly and no modulus is needed.
-    Otherwise they are compared modulo the largest primes below 2^24 whose
-    product exceeds twice the bound, so equal residues mean equal sums; each
-    residue product is below 2^48 and n^2 of them sum below 2^63.
+    Otherwise they are compared modulo the fewest largest primes below 2^26
+    whose product exceeds twice the bound (`linalg._moduli` without its
+    check prime), so equal residues mean equal sums.  The float reduction
+    x - q floor(x / q) is exact for |x| < 2^52, so residues lie in [0, q),
+    each product of two is below 2^52, and n^2 <= 576 of them sum below 2^62.
     """
     half = -(-n // 2)
     if (n - 1) ** (half - 1) >= 2**52 or n * n >= 2**15:
         raise ValueError(f"Seidel power sums are not exact in 64-bit arithmetic for n={n}")
     bound = n * n * (n - 1) ** max(n - 2, 0)
-    moduli: list[int] = []
-    product = 1
-    if bound >= 2**63:
-        for q in primes_below(1 << 24):
-            if product > 2 * bound:
-                break
-            moduli.append(q)
-            product *= q
-    return tuple(moduli)
+    if bound < 2**63:
+        return ()
+    return tuple(_moduli(n, 2 * bound)[:-1])
 
 
 def _power_sum_targets(seidel_char_poly: tuple) -> list[tuple[int, list[int]]]:

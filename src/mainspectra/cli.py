@@ -6,13 +6,13 @@ live in the test suite only.
 
 Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
-errors, unreadable or malformed files, out-of-range parameters, analyze
---format csv with --seidel or --equitable, census --audit without
---reference); 3 when a census member contradicts the structure its
-switching class forces; 4 when
-one of the program's own self-checks fails (the walk rank and the two-walk
-test disagree, char_polys' check prime disagrees, or the walk-rank
-certificate runs out of primes).
+errors, unreadable or malformed files, out-of-range parameters, a
+MAINSPECTRA_VERTEX_CAP that is not a positive integer, analyze --format
+csv with --seidel or --equitable, census --audit without --reference);
+3 when a census member contradicts the structure its switching class
+forces; 4 when one of the program's own self-checks fails (the walk rank
+and the two-walk test disagree, char_polys' check prime disagrees, or the
+walk-rank certificate runs out of primes).
 Errors are reported as one line on stderr, without a traceback.
 """
 
@@ -41,7 +41,7 @@ from .constructions import (
 )
 from .equitable import equitable_records
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, degree_vector, graph_from_adjacency_text, t_lambda_tree
+from .graphs import Graph, degree_vector, graph_from_adjacency_text, t_lambda_tree, vertex_cap
 from .seidel import seidel_reports
 from .spectrum import main_spectrum_reports, two_walk_params
 
@@ -114,11 +114,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _first_graph(lines, input_format: str, missing: str) -> Graph:
+    """The graph on the first non-blank line; ValueError(missing) if none."""
+    line = next((ln.strip() for ln in lines if ln.strip()), None)
+    if line is None:
+        raise ValueError(missing)
+    return _parse_input_graph(line, input_format)
+
+
 def _input_graph(args: argparse.Namespace) -> Graph:
-    lines = [ln for ln in _read_lines(args.inputs) if ln.strip()]
-    if not lines:
-        raise ValueError(f"{args.recipe} needs an input graph (graph6 line)")
-    return _parse_input_graph(lines[0].strip(), args.input_format)
+    return _first_graph(_read_lines(args.inputs), args.input_format,
+                        f"{args.recipe} needs an input graph (graph6 line)")
 
 
 def _splice_chain(args: argparse.Namespace):
@@ -173,7 +179,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         raise ValueError("--audit needs --reference: there is nothing to audit against")
     if args.base:
         with open(args.base) as fh:
-            base = parse_graph6(fh.readline().strip())
+            base = _first_graph(fh, "graph6", f"--base {args.base} holds no graph6 line")
     else:
         base = symplectic_graph(args.r)
     reference = None
@@ -269,6 +275,7 @@ def main(argv=None) -> int:
         if missing:
             parser.error(f"construct {args.recipe} needs {' and '.join(missing)}")
     try:
+        vertex_cap()  # a malformed cap is one error here, not one per input graph
         return COMMANDS[args.command](args)
     except ClassificationError as exc:
         print(f"mainspectra {args.command}: {exc}", file=sys.stderr)

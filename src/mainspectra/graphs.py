@@ -23,7 +23,10 @@ def vertex_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_VERTEX_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -70,17 +69,27 @@ def _coefficient_bound(stack) -> int:
 
 @lru_cache(maxsize=64)
 def _modular_constants(moduli: tuple[int, ...], n: int):
-    """char_polys' per-prime constants: the primes as a column, -k^-1 modulo
-    each for k = 1..n, and the CRT weights of all primes but the last."""
+    """char_polys' per-prime constants: the primes as a column and -k^-1
+    modulo each for k = 1..n."""
     p = np.array(moduli, dtype=np.float64).reshape(-1, 1)
     negated_inverses = np.array(
         [[q - pow(k, -1, q) for q in moduli] for k in range(1, n + 1)], dtype=np.float64
     ).reshape(n, len(moduli), 1)
-    product = math.prod(moduli[:-1])
-    weights = [(product // q) * pow(product // q, -1, q) for q in moduli[:-1]]
     p.setflags(write=False)  # shared by every call with these primes
     negated_inverses.setflags(write=False)
-    return p, negated_inverses, weights
+    return p, negated_inverses
+
+
+def _crt(residues) -> tuple[list[int], int]:
+    """The coefficient lists [(q, coefficients mod q), ...] lifted by CRT
+    into the symmetric range of the product of the q, and that product."""
+    product, lift = 1, []
+    for q, coeffs in residues:
+        t = pow(product, -1, q)
+        lift = [x + product * ((c - x) * t % q) for x, c in zip(lift or [0] * len(coeffs), coeffs)]
+        product *= q
+    half = product // 2
+    return [x - product if x > half else x for x in lift], product
 
 
 # char_polys splits a group of same-order matrices into stacks whose three
@@ -169,38 +178,28 @@ def _moduli(n: int, bound: int) -> list[int]:
 
 def _char_poly_stack(stack: np.ndarray, moduli: list[int]) -> list[Poly]:
     """char_polys on one int64 stack (batch, n, n) of same-order matrices:
-    the residues modulo every prime, then CRT and the check prime.
+    the residues modulo every prime, one CRT lift of them all, the check prime.
 
     The primes run in groups whose lanes fit _STACK_ELEMENTS: one group,
     unless the stack is a single matrix too large for all its primes at once.
     """
     batch, n = len(stack), len(stack[0])
     group = max(1, _STACK_ELEMENTS // (3 * batch * n * n or 1))
-    p, negated_inverses, weights = _modular_constants(tuple(moduli), n)
+    p, negated_inverses = _modular_constants(tuple(moduli), n)
     a = stack.astype(np.float64).reshape(batch, 1, n, n)
-    by_matrix = np.concatenate([
+    by_prime = np.concatenate([
         _residues(stack, a, moduli[s:s + group], p[s:s + group], negated_inverses[:, s:s + group])
         for s in range(0, len(moduli), group)
-    ], axis=2)
-    check = moduli[-1]
-    product = math.prod(moduli[:-1])
-    polys = []
-    for member in by_matrix.tolist():
-        coeffs = []
-        for res in member:
-            x = sum(map(mul, weights, res)) % product
-            if x > product // 2:
-                x -= product
-            if x % check != res[-1]:
-                raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
-            coeffs.append(x)
-        polys.append(tuple(reversed(coeffs)))
-    return polys
+    ]).reshape(len(moduli), -1).tolist()
+    lift, _ = _crt(zip(moduli[:-1], by_prime[:-1]))
+    if [x % moduli[-1] for x in lift] != by_prime[-1]:
+        raise AssertionError("check prime disagrees with char_poly's CRT reconstruction")
+    return [tuple(lift[s:s + n + 1][::-1]) for s in range(0, len(lift), n + 1)]
 
 
 def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
     """The char_poly coefficients c_0..c_n of each matrix of the stack
-    modulo each prime, as an int64 array (matrix, k, prime).  a is the
+    modulo each prime, as an int64 array (prime, matrix, k).  a is the
     stack as float64 (batch, 1, n, n); p and negated_inverses are the
     primes' _modular_constants.
 
@@ -233,7 +232,7 @@ def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
         np.remainder(trace, p, out=residues[k])
         m, m_next, diag, diag_next = m_next, m, diag_next, diag
         stacked, stacked_next = stacked_next, stacked
-    return residues.reshape(n + 1, batch, count).transpose(1, 0, 2).astype(np.int64)
+    return residues.reshape(n + 1, batch, count).transpose(2, 1, 0).astype(np.int64)
 
 
 def eigenvalues_float(mat) -> list[float]:
@@ -406,8 +405,7 @@ def _derivative_gcd(p: Poly) -> Poly:
     """
     dp = poly_derivative(p)
     lead = p[-1]
-    degree = modulus = 0
-    residues: list[int] = []
+    degree, found = 0, []  # found: (q, image) for the primes of least degree so far
     for q in primes_below(_PRIME_TOP):
         if lead % q == 0:
             continue
@@ -419,18 +417,14 @@ def _derivative_gcd(p: Poly) -> Poly:
         d = len(gcd) - 1
         if d == 0:
             return (1,)
-        if modulus and d > degree:
+        if found and d > degree:
             continue
+        if d != degree:
+            degree, found = d, []
         small_gcd = 2 * d <= len(p) - 1
         image = [c * lead % q for c in gcd] if small_gcd else _divmod_mod(image, gcd, q)[0]
-        if modulus and d == degree:
-            t = pow(modulus, -1, q)
-            residues = [r + modulus * ((i - r) * t % q) for r, i in zip(residues, image)]
-            modulus *= q
-        else:
-            degree, residues, modulus = d, image, q
-        half = modulus // 2
-        lift = poly_primitive([r - modulus if r > half else r for r in residues])
+        found.append((q, image))
+        lift = poly_primitive(_crt(found)[0])
         candidate = lift if small_gcd else _exact_quotient(p, lift)
         if (
             candidate is not None

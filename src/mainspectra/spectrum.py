@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, degree_vector, is_connected
-from .linalg import _PRIME_TOP, _STACK_ELEMENTS, order_stacks, primes_below
+from .linalg import _PRIME_TOP, _STACK_ELEMENTS, _crt, order_stacks, primes_below
 
 
 def fraction_to_json(f):
@@ -203,18 +203,6 @@ def _next_prime(primes) -> int:
     if q is None:
         raise AssertionError("walk rank certificate ran out of primes")
     return q
-
-
-def _crt(residues) -> tuple[list[int], int]:
-    """The coefficient lists [(q, coefficients mod q), ...] lifted by CRT
-    into the symmetric range of the product of the q, and that product."""
-    product, lift = 1, []
-    for q, coeffs in residues:
-        t = pow(product, -1, q)
-        lift = [x + product * ((c - x) * t % q) for x, c in zip(lift or [0] * len(coeffs), coeffs)]
-        product *= q
-    half = product // 2
-    return [x - product if x > half else x for x in lift], product
 
 
 def _stack_runs(a, jobs, run):

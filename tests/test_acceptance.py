@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import importlib.util
 import json
 import time
 from fractions import Fraction
@@ -300,3 +301,19 @@ def test_census_relabel_invariance(base16, census_run):
     ]
     assert strip(scrambled) == strip(table)
     print("\n[acceptance] relabeled-base census: PASS (identical table)")
+
+
+def test_run_census_reproduces_results(tmp_path, monkeypatch, capsys):
+    # the script that makes results/ rewrites its three files byte for byte
+    script = RESULTS.parent / "scripts" / "run_census.py"
+    spec = importlib.util.spec_from_file_location("run_census", script)
+    run_census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_census)
+    monkeypatch.setattr(run_census, "RESULTS", tmp_path)
+    assert run_census.main([]) == 0
+    capsys.readouterr()
+    names = ["census_up_to_complement.csv", "census_all_subsets.csv", "census_audit.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
+    print("\n[acceptance] run_census.py: PASS (results/ reproduced byte for byte)")

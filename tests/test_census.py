@@ -570,15 +570,15 @@ def test_power_sum_moduli():
         assert _power_sum_moduli(n) == ()
     for n in range(17, 25):
         moduli = _power_sum_moduli(n)
-        assert all(m < 1 << 24 for m in moduli)
+        assert all(m < 1 << 26 for m in moduli)
         assert prod(moduli) > 2 * n * n * (n - 1) ** (n - 2)
         assert prod(moduli[:-1]) <= 2 * n * n * (n - 1) ** (n - 2)
     assert len(_power_sum_moduli(24)) == 5
     with pytest.raises(ValueError):
         _power_sum_moduli(30)
-    # the largest primes below 2^24, as chosen before they came from linalg.primes_below
-    primes = (16777213, 16777199, 16777183, 16777153, 16777141)
-    counts = {16: 0, 17: 3, 18: 4, 19: 4, 20: 4, 21: 4, 22: 5, 23: 5, 24: 5}
+    # the largest primes below 2^26, char_polys' primes
+    primes = (67108859, 67108837, 67108819, 67108777, 67108763)
+    counts = {16: 0, 17: 3, 18: 3, 19: 4, 20: 4, 21: 4, 22: 4, 23: 4, 24: 5}
     for n, count in counts.items():
         assert _power_sum_moduli(n) == primes[:count]
 

@@ -292,6 +292,33 @@ def test_census_audit_without_reference_exits_2(capsys, tmp_path):
     assert not audit.exists()
 
 
+def test_census_base_skips_leading_blank_lines(capsys, tmp_path):
+    plain, padded = tmp_path / "plain.g6", tmp_path / "padded.g6"
+    plain.write_text("Ehc?\n")  # C5 plus an isolated vertex
+    padded.write_text("\n  \nEhc?\n")
+    outs = []
+    for base in (plain, padded):
+        assert main(["census", "--base", str(base)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+
+
+@pytest.mark.parametrize("cap", ["abc", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["construct", "t-lambda", "--lam", "2", "--format", "json"],
+     ["census", "--r", "1"]],
+    ids=["analyze", "construct", "census"],
+)
+def test_malformed_vertex_cap_is_one_error(capsys, monkeypatch, cap, argv):
+    # one line naming the variable and exit 2, not one error per input graph
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", cap)
+    code, out, err = run_cli(capsys, argv, stdin="Dhc\nDhc\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == (f"mainspectra {argv[0]}: MAINSPECTRA_VERTEX_CAP must be a positive "
+                   f"integer, got {cap!r}\n")
+
+
 def test_census_malformed_base_exits_2(capsys, tmp_path):
     empty = tmp_path / "empty.g6"
     empty.write_text("")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -323,6 +324,27 @@ def test_primes_below():
     assert [next(first), next(first)] == [67108859, 67108837]
 
 
+# the largest odd primes below 2^26 and some small ones
+_CRT_PRIMES = [q for q, _ in zip(primes_below(1 << 26), range(40))] + [3, 5, 7, 101, 65537]
+
+
+@st.composite
+def crt_cases(draw):
+    """1-6 distinct primes and integers of mixed sign within +-floor(P/2),
+    P their product, both ends of that range included."""
+    primes = draw(st.lists(st.sampled_from(_CRT_PRIMES), min_size=1, max_size=6, unique=True))
+    half = math.prod(primes) // 2
+    return primes, draw(st.lists(st.integers(-half, half), max_size=8)) + [-half, half]
+
+
+@settings(max_examples=300, deadline=None)
+@given(crt_cases())
+def test_crt_rebuilds_the_symmetric_range(case):
+    primes, values = case
+    residues = [(q, [x % q for x in values]) for q in primes]
+    assert linalg._crt(residues) == (values, math.prod(primes))
+
+
 # -- squarefree / divisibility -----------------------------------------------
 
 
@@ -414,6 +436,25 @@ def test_modular_gcd_recovers_from_an_unlucky_prime(monkeypatch):
     assert results[1] == (dp, (0, -1, 1), None)
     assert distinct_root_count(p) == 3
     assert squarefree_part(p) == poly_mul((0, 1), poly_mul((-q, 1), (-1, 1)))
+
+
+def test_modular_gcd_never_lifts_a_prime_of_higher_degree(monkeypatch):
+    # p = x (x - 101) (x - 10^9)^2: its gcd with p' is x - 10^9, which one
+    # prime near 2^26 cannot lift; modulo 101 the gcd is x (x - 10), of
+    # higher degree, so 101 is skipped and the lift takes the next prime
+    p = poly_mul(poly_mul((0, 1), (-101, 1)), poly_pow((-(10**9), 1), 2))
+    primes = [67108859, 101, 67108837, 67108819]
+    lifted = []
+    crt = linalg._crt
+
+    def recorded(residues):
+        lifted.append([q for q, _ in residues])
+        return crt(residues)
+
+    monkeypatch.setattr(linalg, "primes_below", lambda _top: iter(primes))
+    monkeypatch.setattr(linalg, "_crt", recorded)
+    assert linalg._derivative_gcd(p) == (-(10**9), 1)
+    assert lifted == [[67108859], [67108859, 67108837]]
 
 
 def test_squarefree_part_needs_a_divisor(monkeypatch):
