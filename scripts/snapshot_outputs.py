@@ -18,9 +18,14 @@ PYTHONPATH=src) and writes into OUT_DIR:
              and all-subsets on the last two (representatives included);
              census --format json on K17 (power sums compared modulo
              primes) and on a K4 base file that starts with a blank line;
-             census --reference on three malformed reference CSVs, and
-             --audit without --reference
-  construct/ construct --format json for every recipe
+             census --format json on Paley(13) plus an isolated vertex (a
+             conference two-graph) under both conventions; census on the
+             path P4, whose class is not a regular two-graph and holds
+             members with more than two main eigenvalues;
+             census --reference on three malformed reference CSVs,
+             --audit without --reference, and --r 10^12 (4^r vertices)
+  construct/ construct --format json for every recipe, and symplectic
+             with --r 10^12
   inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
              two seeds, and analyze on them as that workload runs it
@@ -118,6 +123,16 @@ def census_outputs(out: Path, inputs: Path) -> None:
     padded = inputs / "base_k4_padded.g6"
     padded.write_text("\nC~\n")
     run(out, "base.k4-padded.json", ["census", "--base", str(padded), "--format", "json"])
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley = inputs / "base_paley13_k1.g6"
+    paley.write_text(graph6_line(14, [(u, v) for v in range(13) for u in range(v)
+                                      if v - u in squares]) + "\n")
+    for convention in ("up-to-complement", "all-subsets"):
+        run(out, f"base.paley13_k1.{convention}.json",
+            ["census", "--base", str(paley), "--convention", convention, "--format", "json"])
+    p4 = inputs / "base_p4.g6"
+    p4.write_text("Ch\n")
+    run(out, "base.p4", ["census", "--base", str(p4)])
     header = "alpha,beta,mu0,mu1,valencies,count\n"
     row = '8,-9,4+sqrt(7),4-sqrt(7),"3^1,5^3,7^12",240\n'
     malformed = {
@@ -131,6 +146,7 @@ def census_outputs(out: Path, inputs: Path) -> None:
         run(out, f"reference.{name}", ["census", "--reference", str(reference)])
     run(out, "audit-without-reference",
         ["census", "--r", "1", "--audit", str(inputs / "unwritten.audit.json")])
+    run(out, "huge-r", ["census", "--r", str(10**12)])
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:
@@ -146,6 +162,7 @@ def construct_outputs(out: Path, inputs: Path) -> None:
         recipes[f"boundary3.{alpha}"] = ["boundary3", "--alpha", str(alpha)]
     recipes["symplectic.1"] = ["symplectic", "--r", "1"]
     recipes["symplectic.2.component"] = ["symplectic", "--r", "2", "--component"]
+    recipes["symplectic.huge-r"] = ["symplectic", "--r", str(10**12)]
     for k in (1, 2, 3, 5):
         recipes[f"splice-chain.{k}"] = ["splice-chain", str(inputs / "cone_c4.g6"),
                                         "--edge", "4,0", "--k", str(k)]

@@ -8,8 +8,11 @@ regular, valency multiset, connectivity).  Members are processed in blocks:
 one numpy pass over a block's adjacency tensor computes every member's
 integer census key and checks its Seidel power sums against the base's.
 
-A non-regular member without two-walk parameters contradicts the structure
-theory of non-trivial regular two-graphs and aborts the run loudly.
+Every member of a regular two-graph has at most two main eigenvalues, so
+there a non-regular member without two-walk parameters contradicts the
+structure theory and aborts the run loudly (ClassificationError).  In any
+other class such a member has no census row, and the base is refused
+(ValueError).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
 from .linalg import _moduli, char_poly
 from .seidel import (
-    non_main_eigenvalues,
+    non_main_factor,
     seidel_matrix,
     seidel_report,
     srg_params,
@@ -250,14 +253,20 @@ class _BlockKernel:
 
 def _census_chunk(args) -> dict:
     """Integer-key counts of subsets start..stop-1, each member's Seidel
-    power sums checked against the targets."""
-    base_adj, shift, targets, start, stop = args
+    power sums checked against the targets.  two_graph says whether the
+    class is a regular two-graph (see the module docstring)."""
+    base_adj, shift, targets, two_graph, start, stop = args
     kernel = _BlockKernel(base_adj, shift)
     out: dict[tuple, list] = {}
     for subs, adj in kernel.blocks(start, stop):
         keys, no_two_walk = kernel.keys(adj)
         if no_two_walk.any():
             i = no_two_walk.argmax()
+            if not two_graph:
+                raise ValueError(
+                    f"member at subset {subs[i]} has more than two main eigenvalues, and no "
+                    "census row holds such a member (base is not a regular two-graph)"
+                )
             degs = sorted(set(adj[i].sum(axis=1).astype(int).tolist()))
             raise ClassificationError(
                 f"non-regular member at subset {subs[i]} without two-walk "
@@ -486,7 +495,8 @@ def census_table(
     base_adj = base.adjacency_matrix()
     ranges = min(workers, subsets)
     bounds = [subsets * i // ranges for i in range(ranges + 1)]
-    jobs = [(base_adj, shift, targets, bounds[i], bounds[i + 1]) for i in range(ranges)]
+    two_graph = base_rep.regular_two_graph
+    jobs = [(base_adj, shift, targets, two_graph, bounds[i], bounds[i + 1]) for i in range(ranges)]
     if ranges == 1:
         parts = [_census_chunk(jobs[0])]
     else:
@@ -506,7 +516,7 @@ def census_table(
         "rows": len(rows),
     }
     skip_reason = structure_skip_reason(base_rep)
-    alpha = None if skip_reason else -sum(t * m for t, m in non_main_eigenvalues(base_rep))
+    alpha = None if skip_reason else non_main_factor(base_rep)[-2]
     for row in rows:
         _verify_row(base, row, shift, base_rep, alpha)
     return CensusTable(

@@ -8,11 +8,14 @@ Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
 errors, unreadable or malformed files, out-of-range parameters, a
 MAINSPECTRA_VERTEX_CAP that is not a positive integer, analyze --format
-csv with --seidel or --equitable, census --audit without --reference);
-3 when a census member contradicts the structure its switching class
-forces; 4 when one of the program's own self-checks fails (the walk rank
-and the two-walk test disagree, char_polys' check prime disagrees, or the
-walk-rank certificate runs out of primes).
+csv with --seidel or --equitable, census --audit without --reference, a
+census base whose class is not a regular two-graph and holds a member with
+more than two main eigenvalues); 3 when a census member contradicts the
+structure its switching class forces; 4 when one of the program's own
+self-checks fails (the walk rank and the two-walk test disagree,
+char_polys' check prime disagrees, the walk-rank certificate runs out of
+primes, or a Seidel spectrum forces adjacency eigenvalues that are not
+algebraic integers).
 Errors are reported as one line on stderr, without a traceback.
 """
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .equitable import is_equitable, valency_partition
 from .graphs import Graph, cone, degree_vector, graph_from_edges, is_connected, star
-from .graphs import _check_vertex_count
+from .graphs import CAP_ENV_VAR, _check_vertex_count, vertex_cap
 from .spectrum import TwoWalkParams, two_walk_params
 
 
@@ -57,6 +57,11 @@ def symplectic_graph(r: int) -> Graph:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     width = 2 * r
+    if r > 64 and width >= vertex_cap().bit_length():
+        # 4^r > cap, named rather than built: for a huge r it does not fit in memory
+        raise ValueError(
+            f"vertex count 4^{r} outside 1..{vertex_cap()} (set {CAP_ENV_VAR} to raise the cap)"
+        )
     n = 1 << width
     _check_vertex_count(n)
     lo_mask, hi_mask = _pair_swap_mask(width)

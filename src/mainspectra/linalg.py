@@ -299,13 +299,6 @@ def poly_mul(p, q) -> Poly:
     return poly_trim(out)
 
 
-def poly_pow(p, e: int) -> Poly:
-    out: Poly = (1,)
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
-
 def poly_derivative(p) -> Poly:
     p = poly_trim(p)
     return poly_trim([i * c for i, c in enumerate(p)][1:])

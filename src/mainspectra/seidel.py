@@ -16,6 +16,8 @@ import numpy as np
 
 from .graphs import Graph, degree_vector, is_connected
 from .linalg import (
+    Poly,
+    _exact_quotient,
     char_poly,
     char_polys,
     cluster_floats,
@@ -23,8 +25,8 @@ from .linalg import (
     extract_integer_roots,
     order_stacks,
     poly_mul,
-    poly_pow,
     poly_trim,
+    squarefree_part,
 )
 from .spectrum import TwoWalkParams, two_walk_params
 
@@ -159,30 +161,42 @@ def seidel_report(g: Graph) -> SeidelReport:
 
 
 def structure_skip_reason(rep: SeidelReport) -> str | None:
-    """None when rep's class is a non-trivial regular two-graph with
-    integral Seidel spectrum, so the structure checks apply; else why not.
-    Such a class has odd Seidel eigenvalues rho_i, as (-1 - rho_i)/2 must
-    be an integer; an even one raises ValueError."""
+    """None when rep's class is a non-trivial regular two-graph, so the
+    structure checks apply; else why not.  A trivial one has a simple Seidel
+    eigenvalue, which is rational, so its spectrum is integral."""
     if not rep.regular_two_graph:
         return (
             "base is not a regular two-graph "
             f"(distinct Seidel eigenvalues: {rep.distinct_seidel_count})"
         )
-    if rep.spectrum is None or len(rep.spectrum) != 2:
-        return "Seidel spectrum is not two integral eigenvalues"
-    if min(m for _, m in rep.spectrum) < 2:
+    if rep.spectrum is not None and min(m for _, m in rep.spectrum) < 2:
         return "trivial regular two-graph (a simple Seidel eigenvalue)"
-    if any((1 + rho) % 2 for rho, _ in rep.spectrum):
-        raise ValueError("Seidel eigenvalues do not yield integral adjacency eigenvalues")
     return None
 
 
-def non_main_eigenvalues(rep: SeidelReport) -> tuple[tuple[int, int], ...]:
-    """(theta_i, m_i - 1) with theta_i = (-1 - rho_i)/2 for the Seidel
-    spectrum rho_i^(m_i) of a class that structure_skip_reason passes: the
-    eigenvalues its non-regular members carry besides their two main ones,
-    which sum to alpha = -sum (m_i - 1) theta_i, as tr A = 0."""
-    return tuple(((-1 - rho) // 2, m - 1) for rho, m in rep.spectrum)
+def non_main_factor(rep: SeidelReport) -> Poly:
+    """Q = prod (x - theta_i)^(m_i - 1), theta_i = (-1 - rho_i)/2, for the
+    Seidel spectrum rho_i^(m_i) of a class that structure_skip_reason
+    passes: the adjacency eigenvalues its non-regular members carry besides
+    their two main ones (Seidel and Taylor, 1981).  As tr A = 0, those two
+    sum to alpha = Q[-2], minus the sum of Q's roots.
+
+    The Seidel polynomial at y = -1 - 2x is (-2)^n P with
+    P = prod (x - theta_i)^(m_i), and Q = P / prod (x - theta_i), the
+    squarefree part of P.  P is integral: either the rho_i are odd, or they
+    are +-sqrt(n - 1) with n = 2 (mod 4) and prod (x - theta_i) is
+    x^2 + x - (n - 2)/4.
+    """
+    cp = rep.seidel_char_poly
+    scaled: list = []
+    for c in reversed(cp):  # Horner's rule in y = -1 - 2x
+        scaled = list(poly_mul(scaled, (-1, -2))) or [0]
+        scaled[0] += c
+    scale = (-2) ** (len(cp) - 1)
+    if any(c % scale for c in scaled):
+        raise AssertionError("forced adjacency eigenvalues are not algebraic integers")
+    p = tuple(c // scale for c in scaled)
+    return _exact_quotient(p, squarefree_part(p))
 
 
 def srg_params(g: Graph) -> tuple[int, int, int, int] | None:
@@ -213,11 +227,7 @@ class NonregularStructure:
     """Outcome of the four-eigenvalue check for a non-regular member of a
     non-trivial regular two-graph."""
 
-    seidel_spectrum: tuple
-    theta0: int
-    theta1: int
-    m0: int
-    m1: int
+    non_main_factor: Poly
     params: TwoWalkParams
     adjacency_char_poly: tuple
     char_poly_matches: bool
@@ -234,10 +244,9 @@ def verify_nonregular_structure(
     """Check the forced adjacency spectrum of a connected non-regular graph
     whose switching class is a non-trivial regular two-graph.
 
-    With Seidel spectrum rho_i^(m_i) and theta_i = (-1 - rho_i)/2, the
-    adjacency characteristic polynomial must factor as
-    (x^2 - alpha x - beta) * (x - theta0)^(m0-1) * (x - theta1)^(m1-1)
-    and carry exactly four distinct eigenvalues.  seidel is the Seidel
+    The adjacency characteristic polynomial must factor as
+    (x^2 - alpha x - beta) * Q, with Q the class's non_main_factor, and
+    carry exactly four distinct eigenvalues.  seidel is the Seidel
     report of a graph already shown to be switching-equivalent to g (the
     Seidel spectrum is a switching invariant); by default it is computed
     from g.
@@ -256,22 +265,12 @@ def verify_nonregular_structure(
     tw = two_walk_params(g)
     if tw is None:
         raise ValueError("no two-walk parameters: hypothesis violated")
-    (theta0, k0), (theta1, k1) = non_main_eigenvalues(rep)
-    quad = poly_trim((-tw.beta, -tw.alpha, Fraction(1)))
-    expected = poly_mul(
-        quad,
-        poly_mul(poly_pow((-theta0, 1), k0), poly_pow((-theta1, 1), k1)),
-    )
+    q = non_main_factor(rep)
     cp = char_poly(g.adjacency_matrix())
-    matches = len(expected) == len(cp) and all(a == b for a, b in zip(expected, cp))
     return NonregularStructure(
-        seidel_spectrum=rep.spectrum,
-        theta0=theta0,
-        theta1=theta1,
-        m0=k0 + 1,
-        m1=k1 + 1,
+        non_main_factor=q,
         params=tw,
         adjacency_char_poly=cp,
-        char_poly_matches=matches,
+        char_poly_matches=poly_mul((-tw.beta, -tw.alpha, Fraction(1)), q) == cp,
         distinct_adjacency_count=distinct_root_count(cp),
     )

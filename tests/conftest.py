@@ -13,6 +13,14 @@ def load_corpus(name: str) -> list[Graph]:
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
+def paley_plus_k1(q: int) -> Graph:
+    """The Paley graph on GF(q), q a prime = 1 (mod 4), plus an isolated
+    vertex q: a conference two-graph's class, Seidel eigenvalues +-sqrt(q)."""
+    squares = {x * x % q for x in range(1, q)}
+    edges = [(u, v) for v in range(q) for u in range(v) if v - u in squares]
+    return graph_from_edges(q + 1, edges)
+
+
 @pytest.fixture(scope="session")
 def all_n_le_7() -> list[Graph]:
     return load_corpus("all_n_le_7.g6")

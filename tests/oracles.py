@@ -3,6 +3,10 @@ check the package against them.
 
 - quotient_matrix: the averaged neighbour counts between blocks, as
   Fractions, for any partition.
+- poly_pow: repeated multiplication.
+- non_main_factor_from_spectrum: the non-main factor of a regular
+  two-graph with odd integral Seidel spectrum, from theta_i = (-1 - rho_i)/2
+  one eigenvalue at a time; the reference of `seidel.non_main_factor`.
 - poly_gcd: the primitive pseudo-remainder sequence.
 - poly_divmod / poly_divides: long division over the rationals.
 - rank_exact: rank over the rationals by fraction-free elimination of the
@@ -28,7 +32,7 @@ from fractions import Fraction
 
 from mainspectra.census import ClassificationError, Convention, _check_size
 from mainspectra.graphs import Graph, degree_vector, is_connected
-from mainspectra.linalg import Poly, poly_primitive, poly_trim
+from mainspectra.linalg import Poly, poly_mul, poly_primitive, poly_trim
 from mainspectra.seidel import switch_mask
 from mainspectra.spectrum import fraction_to_json, two_walk_params
 
@@ -61,6 +65,24 @@ def quotient_matrix(g, blocks) -> QuotientMatrix:
         totals = [sum(g.has_edge(v, u) for v in b for u in other) for other in blocks]
         entries.append(tuple(Fraction(t, len(b)) for t in totals))
     return QuotientMatrix(tuple(entries), tuple(len(b) for b in blocks))
+
+
+def poly_pow(p, e: int) -> Poly:
+    out: Poly = (1,)
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+def non_main_factor_from_spectrum(spectrum) -> Poly:
+    """prod (x - theta_i)^(m_i - 1) with theta_i = (-1 - rho_i)/2, for an
+    integral Seidel spectrum ((rho_i, m_i), ...) of odd eigenvalues."""
+    out: Poly = (1,)
+    for rho, m in spectrum:
+        if (1 + rho) % 2:
+            raise ValueError(f"even Seidel eigenvalue {rho}")
+        out = poly_mul(out, poly_pow(((1 + rho) // 2, 1), m - 1))
+    return out
 
 
 def _pseudo_rem(p: list, q: list) -> list:

@@ -45,10 +45,10 @@ from mainspectra import (
     verify_switching_invariance_exhaustive,
 )
 from mainspectra.census import valencies_str
-from mainspectra.linalg import poly_mul, poly_pow
+from mainspectra.linalg import poly_mul
 from mainspectra.seidel import switch_mask
 
-from oracles import classify_member
+from oracles import classify_member, poly_pow
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 

@@ -24,6 +24,7 @@ from mainspectra import (
     star,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
+    write_graph6,
 )
 from mainspectra import census
 from mainspectra.census import (
@@ -35,8 +36,10 @@ from mainspectra.census import (
     parse_valencies,
     valencies_str,
 )
-from mainspectra.seidel import seidel_matrix, switch_mask
+from mainspectra.cli import main
+from mainspectra.seidel import seidel_matrix, seidel_report, switch_mask
 
+from conftest import paley_plus_k1
 from oracles import classify_member, enumerate_switching_class, poly_divides, switch
 
 
@@ -304,8 +307,11 @@ def test_batched_keys_match_oracle_on_small_bases(all_n_le_7, convention):
         oracle = _oracle_keys(base, convention)
         assert _kernel_keys(base, convention) == oracle
         bad = [sub for sub, key in oracle.items() if key is None]
+        # a member of a regular two-graph has at most two main eigenvalues
+        assert bool(bad) == (base.n >= 4 and not seidel_report(base).regular_two_graph)
         if bad:
-            with pytest.raises(ClassificationError, match=rf"at subset {bad[0]} "):
+            message = rf"^member at subset {bad[0]} has more than two main eigenvalues"
+            with pytest.raises(ValueError, match=message):
                 census_table(base, convention)
             continue
         expected = {}
@@ -372,19 +378,34 @@ def test_census_workers_byte_identical_and_verified():
     "base, reason",
     [
         (complete(1), "base is not a regular two-graph"),
-        # C5 plus an isolated vertex: Seidel eigenvalues +-sqrt(5)
-        (
-            graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-            "Seidel spectrum is not two integral eigenvalues",
-        ),
+        # C5 plus an isolated vertex: Seidel eigenvalues +-sqrt(5), and the checks run
+        (graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), None),
         (complete(4), "trivial regular two-graph"),
     ],
 )
 def test_verification_reports_skipped_structure_checks(base, reason):
     record = census_table(base).verification
-    assert record["structure_checks"] == "skipped"
-    assert record["structure_skip_reason"].startswith(reason)
+    assert record["structure_checks"] == ("ran" if reason is None else "skipped")
+    skip = record["structure_skip_reason"]
+    assert skip is None if reason is None else skip.startswith(reason)
     assert record["seidel_members_checked"] == 1 << (base.n - 1)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_paley_13_class_runs_every_structure_check(convention, capsys, monkeypatch, tmp_path):
+    # a conference two-graph: Seidel eigenvalues +-sqrt(13) force alpha = 6
+    base = paley_plus_k1(13)
+    table = census_table(base, convention)
+    assert table.verification["structure_checks"] == "ran"
+    assert {r.alpha for r in table.rows if r.kind == "nonregular"} == {6}
+    assert len(table.rows) == 26
+    path = tmp_path / "paley13_k1.g6"
+    path.write_text(write_graph6(base) + "\n")
+    _edit_keys(lambda key: (key[0], key[1] + 1, *key[2:]) if key[0] == "nonregular" else key)(
+        monkeypatch, []
+    )
+    assert main(["census", "--base", str(path), "--convention", convention.value]) == 3
+    assert "alpha 7 != 6 forced by the Seidel spectrum" in capsys.readouterr().err
 
 
 def _corrupt(monkeypatch, subset):

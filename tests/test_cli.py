@@ -17,7 +17,7 @@ from mainspectra import (
     valency_partition,
     write_graph6,
 )
-from mainspectra import cli
+from mainspectra import census, cli
 from mainspectra.cli import ANALYZE_CHUNK, main
 
 from oracles import quotient_matrix
@@ -185,6 +185,7 @@ def test_construct_splice_chain_rejects_an_out_of_range_edge(capsys, tmp_path, e
             (5 * 10**8 + 1) * (25 * 10**16 + 1),
         ),
         (["boundary3", "--alpha", str(10**9)], 7 * 5 * 10**8),
+        (["symplectic", "--r", str(10**12)], f"4^{10**12}"),
     ],
 )
 def test_construct_checks_the_vertex_count_first(capsys, argv, n):
@@ -279,6 +280,8 @@ def _one_line_error(capsys, argv, code):
         # the symplectic base is refused before its rows are allocated
         (["census", "--r", "7"], "vertex count 16384 outside 1.."),
         (["census", "--r", "40"], f"vertex count {2**80} outside 1.."),
+        # 4^r itself would not fit in memory
+        (["census", "--r", str(10**12)], f"vertex count 4^{10**12} outside 1.."),
     ],
 )
 def test_census_bad_input_exits_2(capsys, argv, message):
@@ -325,11 +328,31 @@ def test_census_malformed_base_exits_2(capsys, tmp_path):
     assert "graph6" in _one_line_error(capsys, ["census", "--base", str(empty)], 2)
 
 
-def test_census_contradiction_exits_3(capsys, tmp_path):
-    base = tmp_path / "p5.g6"
-    base.write_text("DhC\n")  # the 5-path: three main eigenvalues
+def test_census_contradiction_exits_3(capsys, monkeypatch, tmp_path):
+    # K4's class is a (trivial) regular two-graph, where every member has at
+    # most two main eigenvalues; the kernel is made to flag one that has more
+    keys = census._BlockKernel.keys
+
+    def flagged(self, adj):
+        out, no_two_walk = keys(self, adj)
+        no_two_walk[1] = True
+        return out, no_two_walk
+
+    monkeypatch.setattr(census._BlockKernel, "keys", flagged)
+    base = tmp_path / "k4.g6"
+    base.write_text("C~\n")
     err = _one_line_error(capsys, ["census", "--base", str(base)], 3)
-    assert "without two-walk parameters" in err
+    assert "at subset 1 without two-walk parameters" in err
+
+
+def test_census_base_that_is_not_a_regular_two_graph_exits_2(capsys, tmp_path):
+    base = tmp_path / "p4.g6"
+    base.write_text("Ch\n")  # the 4-path: 4 distinct Seidel eigenvalues
+    err = _one_line_error(capsys, ["census", "--base", str(base)], 2)
+    assert err == (
+        "mainspectra census: member at subset 1 has more than two main eigenvalues, and no "
+        "census row holds such a member (base is not a regular two-graph)\n"
+    )
 
 
 SELF_CHECK_FAULTS = [

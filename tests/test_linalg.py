@@ -26,14 +26,13 @@ from mainspectra.linalg import (
     poly_derivative,
     poly_eval,
     poly_mul,
-    poly_pow,
     poly_primitive,
     poly_trim,
     primes_below,
 )
 from mainspectra.seidel import switch_mask
 
-from oracles import poly_divides, poly_gcd, quotient_matrix, rank_exact
+from oracles import poly_divides, poly_gcd, poly_pow, quotient_matrix, rank_exact
 
 
 # -- oracles -----------------------------------------------------------------

@@ -20,10 +20,11 @@ from mainspectra import (
     symplectic_graph,
     verify_nonregular_structure,
 )
-from mainspectra.seidel import non_main_eigenvalues, structure_skip_reason
+from mainspectra.linalg import poly_mul
+from mainspectra.seidel import non_main_factor, structure_skip_reason
 
-from conftest import graphs
-from oracles import rank_exact, switch
+from conftest import graphs, paley_plus_k1
+from oracles import non_main_factor_from_spectrum, poly_pow, rank_exact, switch
 
 
 # -- independent strong-graph oracle ------------------------------------------
@@ -137,26 +138,55 @@ def test_srg_params_examples():
     assert srg_params(graph_from_edges(3, [])) == (3, 0, 0, 0)
 
 
+SP4_NON_MAIN = poly_mul(poly_pow((2, 1), 9), poly_pow((-2, 1), 5))  # (x + 2)^9 (x - 2)^5
+
+
 def test_structure_of_the_sp4_class():
     rep = seidel_report(symplectic_graph(2))
     assert structure_skip_reason(rep) is None
     # Seidel spectrum 3^10, (-5)^6
-    assert non_main_eigenvalues(rep) == ((-2, 9), (2, 5))
-    assert -sum(theta * mult for theta, mult in non_main_eigenvalues(rep)) == 8
+    assert non_main_factor(rep) == SP4_NON_MAIN == non_main_factor_from_spectrum(rep.spectrum)
+    assert non_main_factor(rep)[-2] == 8  # alpha
 
 
-def test_structure_skip_reason_rejects_an_even_seidel_eigenvalue():
+PETERSEN = graph_from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+)
+
+
+def test_structure_of_the_petersen_class():
+    rep = seidel_report(PETERSEN)
+    assert structure_skip_reason(rep) is None
+    assert rep.spectrum == ((3, 5), (-3, 5))
+    assert non_main_factor(rep) == non_main_factor_from_spectrum(rep.spectrum)
+    assert non_main_factor(rep)[-2] == 4
+
+
+@pytest.mark.parametrize("q", [5, 13, 17])
+def test_structure_of_conference_classes(q):
+    # Seidel eigenvalues +-sqrt(q), each (q + 1)/2 times: no integral
+    # spectrum, and theta_i are the roots of x^2 + x - (q - 1)/4
+    rep = seidel_report(paley_plus_k1(q))
+    assert rep.spectrum is None and structure_skip_reason(rep) is None
+    assert non_main_factor(rep) == poly_pow((-(q - 1) // 4, 1, 1), (q - 1) // 2)
+    assert non_main_factor(rep)[-2] == (q - 1) // 2
+
+
+def test_non_main_factor_rejects_an_even_seidel_eigenvalue():
+    # theta = -5/2 and 1/2: the self-check that no regular two-graph reaches
     rep = SeidelReport(
         n=9,
-        seidel_char_poly=(),
+        seidel_char_poly=poly_mul(poly_pow((-4, 1), 3), poly_pow((2, 1), 6)),
         distinct_seidel_count=2,
         strong=True,
         regular_two_graph=True,
         spectrum=((4, 3), (-2, 6)),
         float_spectrum=(),
     )
-    with pytest.raises(ValueError, match="integral adjacency eigenvalues"):
-        structure_skip_reason(rep)
+    assert structure_skip_reason(rep) is None
+    with pytest.raises(AssertionError, match="not algebraic integers"):
+        non_main_factor(rep)
 
 
 def test_verify_nonregular_structure_census_member():
@@ -164,7 +194,7 @@ def test_verify_nonregular_structure_census_member():
     member = switch(base, [0])
     verdict = verify_nonregular_structure(member)
     assert verdict.passed
-    assert {verdict.theta0, verdict.theta1} == {-2, 2}
+    assert verdict.non_main_factor == SP4_NON_MAIN
     assert verdict.params.alpha == 8 and verdict.params.beta == 15
     assert verdict.distinct_adjacency_count == 4
     # the base's Seidel report stands in for the member's: same verdict
