@@ -8,8 +8,11 @@ PYTHONPATH=src) and writes into OUT_DIR:
              on each data/*.g6; analyze on a 129-vertex graph6 line next to
              a valid one under the default vertex cap of 128; analyze
              under a malformed MAINSPECTRA_VERTEX_CAP; analyze --format
-             json on path(40) (walk rank 20) and on a seeded G(64, 1/2)
-             (full walk rank)
+             json on path(40) (walk rank 20), on a seeded G(64, 1/2) (full
+             walk rank), on K31 + K30 + ... + K2 (walk rank 30, whose
+             certificate needs one lift prime beyond the lift target) and
+             on a seeded G(128, 1/2) with a pair of twin vertices (walk rank
+             127)
   census/    census CSV (with --reference bundled --audit), the audit file
              and --format json, under both conventions, workers 1 and 2;
              all-subsets --format json with workers 3 (an uneven split);
@@ -23,9 +26,11 @@ PYTHONPATH=src) and writes into OUT_DIR:
              path P4, whose class is not a regular two-graph and holds
              members with more than two main eigenvalues;
              census --reference on three malformed reference CSVs,
-             --audit without --reference, and --r 10^12 (4^r vertices)
-  construct/ construct --format json for every recipe, and symplectic
-             with --r 10^12
+             --audit without --reference, --r 10^12 (4^r vertices), --r 40
+             under a cap above sys.maxsize and --r 20 under a cap of 10^18
+             (a graph larger than memory)
+  construct/ construct --format json for every recipe, symplectic with
+             --r 10^12, and symplectic --r 20 under a cap of 10^18
   inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
              two seeds, and analyze on them as that workload runs it
@@ -33,7 +38,9 @@ PYTHONPATH=src) and writes into OUT_DIR:
 Each command leaves NAME.out (stdout) and NAME.err (stderr and the exit
 code).  The vertex cap is raised to 1024, as perfbench does, so the larger
 constructions (t_lambda_tree(6) has 187 vertices) are built; only the
-over-cap analyze case runs under the default cap.  Snapshot two
+over-cap analyze case runs under the default cap.  The cap cases run with
+their address space limited to 2 GiB, so a graph larger than memory fails
+at once instead of filling the machine.  Snapshot two
 checkouts into two directories; an empty `diff -r` between them means the
 outputs are byte-identical.
 
@@ -45,6 +52,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -53,15 +61,22 @@ ROOT = Path(__file__).resolve().parent.parent
 LARGE_SEEDS = (1011, 1012)
 ANALYZE_JSON = ["analyze", "--seidel", "--equitable", "--format", "json"]
 RANDOM_SEED = 11
+ADDRESS_SPACE = 1 << 31
 
 
-def run(out: Path, name: str, argv: list[str], command=None, stdin=None, **env) -> None:
+def limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run(out: Path, name: str, argv: list[str], command=None, stdin=None, preexec_fn=None,
+        **env) -> None:
     """Run one command from the repository root, with env overriding the
-    environment; keep its stdout, stderr and exit code under out/name."""
+    environment and preexec_fn run in the child before it starts; keep its
+    stdout, stderr and exit code under out/name."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "MAINSPECTRA_VERTEX_CAP": "1024", **env}
     command = command or [sys.executable, "-m", "mainspectra"]
     proc = subprocess.run(command + argv, cwd=ROOT, env=env, input=stdin, capture_output=True,
-                          text=True)
+                          text=True, preexec_fn=preexec_fn)
     (out / f"{name}.out").write_text(proc.stdout)
     (out / f"{name}.err").write_text(f"{proc.stderr}exit {proc.returncode}\n")
     print(f"{out.name}/{name}: exit {proc.returncode}", flush=True)
@@ -93,8 +108,17 @@ def analyze_outputs(out: Path) -> None:
     run(out, "bad-cap", ["analyze"], stdin="Dhc\nDhc\n", MAINSPECTRA_VERTEX_CAP="abc")
     rng = random.Random(RANDOM_SEED)
     gnp = [(u, v) for v in range(64) for u in range(v) if rng.random() < 0.5]
+    cliques, s = [], 0
+    for m in range(31, 1, -1):
+        cliques += [(u + s, v + s) for v in range(m) for u in range(v)]
+        s += m
+    # vertex 127 has the neighbours of vertex 126, and is not adjacent to it
+    twin = [(u, v) for v in range(127) for u in range(v) if rng.random() < 0.5]
+    twin += [(u, 127) for u, v in twin if v == 126]
     for name, line in (("path40", graph6_line(40, [(v - 1, v) for v in range(1, 40)])),
-                       ("gnp64", graph6_line(64, gnp))):
+                       ("gnp64", graph6_line(64, gnp)),
+                       ("cliques31", graph6_line(s, cliques)),
+                       ("twin128", graph6_line(128, twin))):
         run(out, f"{name}.json", ["analyze", "--format", "json"], stdin=line + "\n")
 
 
@@ -147,6 +171,10 @@ def census_outputs(out: Path, inputs: Path) -> None:
     run(out, "audit-without-reference",
         ["census", "--r", "1", "--audit", str(inputs / "unwritten.audit.json")])
     run(out, "huge-r", ["census", "--r", str(10**12)])
+    run(out, "huge-cap", ["census", "--r", "40"], preexec_fn=limit_address_space,
+        MAINSPECTRA_VERTEX_CAP=str(10**30))
+    run(out, "out-of-memory", ["census", "--r", "20"], preexec_fn=limit_address_space,
+        MAINSPECTRA_VERTEX_CAP=str(10**18))
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:
@@ -168,6 +196,8 @@ def construct_outputs(out: Path, inputs: Path) -> None:
                                         "--edge", "4,0", "--k", str(k)]
     for name, argv in recipes.items():
         run(out, name, ["construct", *argv, "--format", "json"])
+    run(out, "symplectic.out-of-memory", ["construct", "symplectic", "--r", "20"],
+        preexec_fn=limit_address_space, MAINSPECTRA_VERTEX_CAP=str(10**18))
 
 
 def large_outputs(out: Path) -> None:

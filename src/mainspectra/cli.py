@@ -7,15 +7,16 @@ live in the test suite only.
 Exit status: 0 on success; 1 when analyze met unparsable lines or construct
 could not build its recipe; 2 for bad arguments or input (argparse usage
 errors, unreadable or malformed files, out-of-range parameters, a
-MAINSPECTRA_VERTEX_CAP that is not a positive integer, analyze --format
-csv with --seidel or --equitable, census --audit without --reference, a
+MAINSPECTRA_VERTEX_CAP that is not a positive integer or exceeds
+sys.maxsize, a graph that does not fit in memory, analyze --format csv
+with --seidel or --equitable, census --audit without --reference, a
 census base whose class is not a regular two-graph and holds a member with
 more than two main eigenvalues); 3 when a census member contradicts the
 structure its switching class forces; 4 when one of the program's own
 self-checks fails (the walk rank and the two-walk test disagree,
 char_polys' check prime disagrees, the walk-rank certificate runs out of
-primes, or a Seidel spectrum forces adjacency eigenvalues that are not
-algebraic integers).
+primes or meets four unlucky primes, or a Seidel spectrum forces adjacency
+eigenvalues that are not algebraic integers).
 Errors are reported as one line on stderr, without a traceback.
 """
 
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return EXIT_SELF_CHECK
     except (ValueError, OSError) as exc:  # Graph6Error is a ValueError
         print(f"mainspectra {args.command}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError:  # a vertex cap that admits a graph larger than memory
+        print(f"mainspectra {args.command}: out of memory", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

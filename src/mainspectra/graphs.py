@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -29,6 +30,8 @@ def vertex_cap() -> int:
         cap = 0
     if cap < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
+    if cap > sys.maxsize:  # no list holds more rows
+        raise ValueError(f"{CAP_ENV_VAR} must be at most {sys.maxsize}, got {raw!r}")
     return cap
 
 

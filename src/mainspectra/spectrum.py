@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, degree_vector, is_connected
-from .linalg import _PRIME_TOP, _STACK_ELEMENTS, _crt, order_stacks, primes_below
+from .linalg import _PRIME_TOP, _crt, order_stacks, primes_below
 
 
 def fraction_to_json(f):
@@ -205,55 +205,37 @@ def _next_prime(primes) -> int:
     return q
 
 
-def _stack_runs(a, jobs, run):
-    """run(stack, jobs) over the jobs (matrix index into a, ...) in groups
-    within _STACK_ELEMENTS, each on the stack of its matrices; a itself when
-    a group is all of a in order, so a single large matrix is not copied."""
-    n = a.shape[-1]
-    size = max(1, _STACK_ELEMENTS // (n * n))
+def _dependency_runs(a, jobs) -> list:
+    """The (rank, dependency) of each job (matrix index into a, prime), from
+    _walk_dependencies over stacks of jobs cut by order_stacks; a itself when
+    a stack is all of a in order, so a single large matrix is not copied."""
     out = []
-    for s in range(0, len(jobs), size):
-        group = jobs[s:s + size]
-        rows = [job[0] for job in group]
-        out.extend(run(a if rows == list(range(len(a))) else a[rows], group))
+    for stack in order_stacks([a.shape[-1]] * len(jobs)):
+        rows = [jobs[i][0] for i in stack]
+        ranks, deps = _walk_dependencies(a if rows == list(range(len(a))) else a[rows],
+                                         [jobs[i][1] for i in stack])
+        out.extend(zip(ranks, deps))
     return out
-
-
-def _dependency_run(stack, jobs):
-    ranks, deps = _walk_dependencies(stack, [q for _, q in jobs])
-    return zip(ranks, deps)
-
-
-def _vanishes_run(stack, jobs):
-    """Whether m(A) j = 0 modulo q for each job (matrix, q, m), by Horner's
-    rule over the lanes at once; lower-degree m are padded with leading zeros."""
-    p = np.array([[q] for _, q, _ in jobs], dtype=np.int64)
-    top = max(len(m) for _, _, m in jobs)
-    coeffs = np.array([[c % q for c in m] + [0] * (top - len(m)) for _, q, m in jobs], float)
-    h = np.repeat(coeffs[:, -1:], stack.shape[-1], axis=1)
-    for i in range(top - 2, -1, -1):
-        h = np.remainder(_walk_step(stack, h, p) + coeffs[:, i:i + 1], p)
-    return (~h.any(axis=1)).tolist()
 
 
 def _walk_ranks(a) -> list[int]:
     """The main-eigenvalue count of each matrix of a float64 adjacency stack
     a (b, n, n), each one proven.
 
-    The walk rank modulo a prime q never exceeds the rank over Q, so rank n
-    modulo q is proof.  Below n, the lane's rank R and dependency modulo
-    each prime of rank R are lifted by CRT once the primes' product P
-    exceeds 2 (1 + D)^R, D the largest degree: the main polynomial has
-    integer coefficients |m_i| <= C(R, i) D^(R - i), as its roots are
-    distinct eigenvalues, each at most D in absolute value.  The lift M is
-    monic of degree R and M(A) j vanishes modulo every prime it came from;
-    |M(A) j| <= B = sum |M_i| D^i, so M(A) j = 0 exactly once it vanishes
-    modulo primes of product above B: those of the lift when P > B, else
-    also further primes on which it is evaluated.  Then A^R j lies in the
-    span of j, ..., A^(R-1) j over Q, and the rank is R.  A prime of lower
-    rank than another, or whose lift fails that check, was unlucky, and the
-    lane moves on to more primes; after _UNLUCKY_PRIMES of them, or when the
-    primes run out, AssertionError.
+    The walk rank modulo a prime never exceeds the rank over Q, so rank n
+    modulo a prime is proof, and a lower rank R is a floor.  The dependencies
+    modulo the lane's primes of rank R are lifted by CRT to M once their
+    product P exceeds 2 (1 + D)^R, D the largest degree.  If the rank is R,
+    those primes are all lucky and M is the main polynomial m, whose roots
+    are distinct eigenvalues of absolute value at most D: |m_i| <= C(R, i)
+    D^(R - i).  Let B = sum |M_i| D^i.  If B < P, the rank is R: M is monic
+    of degree R, M(A) j vanishes modulo every lift prime and |M(A) j| <= B,
+    so M(A) j = 0.  No other count below n is returned.  If B > (2D)^R, which
+    bounds B(m), M is not m: every prime of rank R was unlucky, and the floor
+    rises to R + 1.  Otherwise the lane asks for more primes of rank R.  A
+    prime of lower rank than another is unlucky too, so a floor raised in
+    error cannot give a wrong count, only unlucky primes; after
+    _UNLUCKY_PRIMES of them, or when the primes run out, AssertionError.
     """
     b, n = a.shape[:2]
     degrees = a.sum(axis=2).max(axis=1).astype(np.int64).tolist()
@@ -266,7 +248,7 @@ def _walk_ranks(a) -> list[int]:
     while want:
         fresh = [_next_prime(primes) for _ in range(max(want.values()))]
         jobs = [(lane, q) for lane, count in want.items() for q in fresh[:count]]
-        for (lane, q), (r, dep) in zip(jobs, _stack_runs(a, jobs, _dependency_run)):
+        for (lane, q), (r, dep) in zip(jobs, _dependency_runs(a, jobs)):
             if counts[lane] is not None:
                 continue
             if r == n:
@@ -278,41 +260,28 @@ def _walk_ranks(a) -> list[int]:
                 found[lane].append((q, dep))
             else:
                 unlucky[lane] += 1
-        want, checks, evaluations, extra = {}, [], [], []
+        want = {}
         for lane in range(b):
             if counts[lane] is not None:
                 continue
             if unlucky[lane] >= _UNLUCKY_PRIMES:
                 raise AssertionError(f"walk rank certificate met {unlucky[lane]} unlucky primes")
             lift, product = _crt(found[lane])
-            delta = degrees[lane]
-            target = 2 * (1 + delta) ** floor[lane]
-            if not found[lane] or product <= target:
-                # each further prime adds over 25 bits: the first 1.9 million
-                # primes below 2^26 exceed 2^25 (fewer bits only mean a later round)
-                want[lane] = max(1, -(-(target // product).bit_length() // 25))
-                continue
-            bound = sum(abs(c) * delta**i for i, c in enumerate(lift))
-            checks.append(lane)
-            i = 0
-            while product <= bound:
-                if i == len(extra):
-                    extra.append(_next_prime(primes))
-                product *= extra[i]
-                evaluations.append((lane, extra[i], lift))
-                i += 1
-        failed = {
-            lane
-            for (lane, _, _), zero in zip(evaluations, _stack_runs(a, evaluations, _vanishes_run))
-            if not zero
-        }
-        for lane in checks:
-            if lane in failed:  # every prime of rank floor was unlucky
-                unlucky[lane] += len(found[lane])
-                floor[lane], found[lane] = floor[lane] + 1, []
-                want[lane] = 1
-            else:
-                counts[lane] = floor[lane]
+            delta, rank = degrees[lane], floor[lane]
+            bound = 2 * (1 + delta) ** rank  # the lift target, then B
+            if found[lane] and product > bound:
+                bound = sum(abs(c) * delta**i for i, c in enumerate(lift))
+                if product > bound:
+                    counts[lane] = rank
+                    continue
+                if bound > (2 * delta) ** rank:
+                    unlucky[lane] += len(found[lane])
+                    floor[lane], found[lane] = rank + 1, []
+                    want[lane] = 1
+                    continue
+            # each further prime adds over 25 bits: the first 1.9 million
+            # primes below 2^26 exceed 2^25 (fewer bits only mean a later round)
+            want[lane] = -(-(bound // product).bit_length() // 25)
     return counts
 
 

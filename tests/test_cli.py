@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -306,7 +307,12 @@ def test_census_base_skips_leading_blank_lines(capsys, tmp_path):
     assert outs[0] == outs[1] != ""
 
 
-@pytest.mark.parametrize("cap", ["abc", "0"])
+# a malformed cap -> what it must be; no list holds more than sys.maxsize rows
+MALFORMED_CAPS = {"abc": "a positive integer", "0": "a positive integer",
+                  str(10**30): f"at most {sys.maxsize}"}
+
+
+@pytest.mark.parametrize("cap", list(MALFORMED_CAPS))
 @pytest.mark.parametrize(
     "argv",
     [["analyze"], ["construct", "t-lambda", "--lam", "2", "--format", "json"],
@@ -318,8 +324,22 @@ def test_malformed_vertex_cap_is_one_error(capsys, monkeypatch, cap, argv):
     monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", cap)
     code, out, err = run_cli(capsys, argv, stdin="Dhc\nDhc\n", monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
-    assert err == (f"mainspectra {argv[0]}: MAINSPECTRA_VERTEX_CAP must be a positive "
-                   f"integer, got {cap!r}\n")
+    assert err == (f"mainspectra {argv[0]}: MAINSPECTRA_VERTEX_CAP must be "
+                   f"{MALFORMED_CAPS[cap]}, got {cap!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["construct", "symplectic", "--r", "20"], ["census", "--r", "20"]],
+    ids=["construct", "census"],
+)
+def test_out_of_memory_is_one_error(capsys, monkeypatch, argv):
+    # a cap that admits a graph larger than memory: one line and exit 2
+    def too_large(r):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "symplectic_graph", too_large)
+    err = _one_line_error(capsys, argv, 2)
+    assert err == f"mainspectra {argv[0]}: out of memory\n"
 
 
 def test_census_malformed_base_exits_2(capsys, tmp_path):
@@ -361,6 +381,11 @@ SELF_CHECK_FAULTS = [
      "walk rank and two-walk test disagree"),
     ("spectrum", "primes_below", lambda top: iter([2]), [], star(4),
      "walk rank certificate ran out of primes"),
+    # rank 2 with a lift whose bound passes (2D)^2 = 36: the floor rises to
+    # 3, which no prime reaches
+    ("spectrum", "_walk_dependencies",
+     lambda a, primes: ([2] * len(a), [[q // 2, q // 2, 1] for q in primes]), [], star(4),
+     "walk rank certificate met 4 unlucky primes"),
     ("linalg", "_coefficient_bound", lambda stack: 1, ["--seidel"], symplectic_graph(2),
      "check prime disagrees"),
 ]
@@ -368,7 +393,7 @@ SELF_CHECK_FAULTS = [
 
 @pytest.mark.parametrize(
     "module, name, fake, flags, graph, message", SELF_CHECK_FAULTS,
-    ids=["walk-rank", "primes", "check-prime"],
+    ids=["walk-rank", "primes", "unlucky-primes", "check-prime"],
 )
 def test_failed_self_check_exits_4(capsys, tmp_path, monkeypatch, module, name, fake, flags,
                                    graph, message):

@@ -189,33 +189,60 @@ def test_the_kernel_raises_when_the_primes_run_out(monkeypatch):
         main_eigenvalue_count(star(4))
 
 
-def test_the_certificate_evaluates_when_the_lift_primes_are_too_few(monkeypatch):
+def _complete_union(sizes):
+    """The disjoint union of the complete graphs K_m, m in sizes."""
+    edges, s = [], 0
+    for m in sizes:
+        edges += [(u + s, v + s) for v in range(m) for u in range(v)]
+        s += m
+    return graph_from_edges(s, edges)
+
+
+def _recorded_eliminations(monkeypatch):
+    """The primes of each _walk_dependencies call, as the calls happen."""
+    from mainspectra import spectrum
+
+    calls = []
+    dependencies = spectrum._walk_dependencies
+
+    def recorded(a, primes):
+        calls.append(list(primes))
+        return dependencies(a, primes)
+
+    monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
+    return calls
+
+
+def test_the_certificate_adds_a_lift_prime(monkeypatch):
     # K11 + K10 + K9: main polynomial (x - 10)(x - 9)(x - 8), largest degree
     # 10, so the lift needs primes above 2 * 11^3 = 2662 while |M(A) j| is
-    # bounded by 20 * 19 * 18 = 6840; the one prime 4093 lifts M but is too
-    # small for that bound, and M(A) j is evaluated modulo the next prime
+    # bounded by 20 * 19 * 18 = 6840 <= 20^3; the one prime 4093 lifts M but
+    # is too small for that bound, so the next prime joins the lift
     from mainspectra import linalg, spectrum
 
-    edges = [(u + s, v + s) for s, m in ((0, 11), (11, 10), (21, 9))
-             for v in range(m) for u in range(v)]
-    g = graph_from_edges(30, edges)
-    evaluated = []
-    vanishes = spectrum._vanishes_run
-
-    def recorded(stack, jobs):
-        evaluated.extend(q for _, q, _ in jobs)
-        return vanishes(stack, jobs)
-
+    g = _complete_union((11, 10, 9))
     monkeypatch.setattr(spectrum, "primes_below", lambda _top: linalg.primes_below(1 << 12))
-    monkeypatch.setattr(spectrum, "_vanishes_run", recorded)
+    calls = _recorded_eliminations(monkeypatch)
     assert main_eigenvalue_count(g) == walk_rank_echelon(g) == 3
-    assert evaluated == [4091]
+    assert calls == [[4093], [4091]]
+
+
+def test_the_certificate_adds_a_lift_prime_with_real_primes(monkeypatch):
+    # K31 + K30 + ... + K2 (n = 495): rank 30, largest degree 30; six primes
+    # pass the lift target 2 * 31^30 (about 2^150), but |M(A) j| is bounded
+    # by 60!/30! (about 2^164), so a seventh prime joins the lift
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "512")
+    g = _complete_union(range(31, 1, -1))
+    calls = _recorded_eliminations(monkeypatch)
+    assert main_eigenvalue_count(g) == 30
+    assert sum(map(len, calls)) == 7
 
 
 def test_a_wrong_dependency_is_caught_and_never_returned(monkeypatch):
     # every dependency the elimination reports is replaced by one whose lift
-    # has large coefficients: the evaluation modulo fresh primes fails, the
-    # lane looks for a higher rank that no prime gives, and the kernel raises
+    # has large coefficients: its bound B exceeds (2D)^R, which raises the
+    # floor, the lane looks for a higher rank that no prime gives, and the
+    # kernel raises
     from mainspectra import spectrum
 
     dependencies = spectrum._walk_dependencies
