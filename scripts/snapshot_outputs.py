@@ -19,8 +19,8 @@ PYTHONPATH=src) and writes into OUT_DIR:
              census --format json on the bases K1, C5 plus an isolated
              vertex and K4, one for each reason the structure checks skip,
              and all-subsets on the last two (representatives included);
-             census --format json on K17 (power sums compared modulo
-             primes) and on a K4 base file that starts with a blank line;
+             census --format json on K17 and on a K4 base file that starts
+             with a blank line;
              census --format json on Paley(13) plus an isolated vertex (a
              conference two-graph) under both conventions; census on the
              path P4, whose class is not a regular two-graph and holds

@@ -6,7 +6,12 @@ pairs are built once and counted twice), classifies each
 member exactly, and aggregates counts keyed by (two-walk parameters or
 regular, valency multiset, connectivity).  Members are processed in blocks:
 one numpy pass over a block's adjacency tensor computes every member's
-integer census key and checks its Seidel power sums against the base's.
+integer census key and certifies that its Seidel matrix is D S D, where S
+is the base's and D = diag(d) with d = 1 - 2 (switching indicator).  D is
+orthogonal, so every member has the base's Seidel characteristic
+polynomial (Seidel and Taylor, "Two-graphs, a second survey", 1981).  That
+polynomial is cross-checked once per census against the base's power sums
+p_1..p_n from exact integer powers of S.
 
 Every member of a regular two-graph has at most two main eigenvalues, so
 there a non-regular member without two-walk parameters contradicts the
@@ -31,7 +36,7 @@ import numpy as np
 
 from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
-from .linalg import _moduli, char_poly
+from .linalg import char_poly
 from .seidel import (
     non_main_factor,
     seidel_matrix,
@@ -43,9 +48,11 @@ from .seidel import (
 )
 from .spectrum import QuadraticPair, two_walk_params
 
+# The census visits 2^(n-1) members (8.4 million at n = 24).  That count
+# sets the cap, not the arithmetic, which is exact at any n.
 MAX_CENSUS_VERTICES = 24
 # Members per kernel pass.  Larger blocks buy little speed at n=16 and cost
-# peak memory: a kernel holds six (BLOCK, n, n) arrays of 8-byte numbers.
+# peak memory: a kernel holds three (BLOCK, n, n) arrays of 8-byte numbers.
 BLOCK = 64
 
 
@@ -81,9 +88,11 @@ def _enumeration(convention: Convention) -> tuple[int, int]:
 # batched kernel
 #
 # A block is the float64 adjacency tensor (B, n, n) of B members.  Every
-# float64 matrix product below has integer entries whose partial sums stay
-# below 2^52 in absolute value (see _power_sum_moduli), so BLAS computes
-# them exactly; results are cast to int64 before any decision is taken.
+# float64 number below is an integer of absolute value at most n^2: the
+# products A d (at most n(n-1) per entry), the reachability squarings
+# (entries 0 or 1, so partial sums at most n) and the Seidel entries 0 and
+# +-1 of the similarity certificate.  So BLAS and numpy compute them
+# exactly at any n; results are cast to int64 before any decision is taken.
 
 
 def _census_key(row: list[int]) -> tuple:
@@ -95,42 +104,23 @@ def _census_key(row: list[int]) -> tuple:
     return ("nonregular", Fraction(p, q), Fraction(b, q), valencies, bool(connected))
 
 
-def _power_sum_moduli(n: int) -> tuple[int, ...]:
-    """Moduli under which the Seidel power sums p_1..p_n are compared.
-
-    For the Seidel matrix S of an n-vertex graph |S^k|_ij <= (n-1)^(k-1), so
-    the float64 powers up to ceil(n/2) are exact integers while
-    (n-1)^(ceil(n/2)-1) < 2^52, which holds for every n <= 24.  The sums
-    p_(a+b) = <S^a, S^b> satisfy |p_k| <= n^2 (n-1)^(k-2).  While that bound
-    fits int64 (n <= 16) they are compared exactly and no modulus is needed.
-    Otherwise they are compared modulo the fewest largest primes below 2^26
-    whose product exceeds twice the bound (`linalg._moduli` without its
-    check prime), so equal residues mean equal sums.  The float reduction
-    x - q floor(x / q) is exact for |x| < 2^52, so residues lie in [0, q),
-    each product of two is below 2^52, and n^2 <= 576 of them sum below 2^62.
-    """
-    half = -(-n // 2)
-    if (n - 1) ** (half - 1) >= 2**52 or n * n >= 2**15:
-        raise ValueError(f"Seidel power sums are not exact in 64-bit arithmetic for n={n}")
-    bound = n * n * (n - 1) ** max(n - 2, 0)
-    if bound < 2**63:
-        return ()
-    return tuple(_moduli(n, 2 * bound)[:-1])
-
-
-def _power_sum_targets(seidel_char_poly: tuple) -> list[tuple[int, list[int]]]:
-    """(modulus, [p_1..p_n]) pairs every member must reproduce; modulus 0
-    means exact.  The power sums come from the base's Seidel characteristic
-    polynomial by Newton's identities."""
-    n = len(seidel_char_poly) - 1
+def _check_base_power_sums(seidel: np.ndarray, seidel_char_poly: tuple) -> None:
+    """Self-check: the base's Seidel polynomial, by Newton's identities,
+    gives the power sums p_1..p_n of exact integer powers of its Seidel
+    matrix.  They determine the monic polynomial, so a disagreement is a
+    fault of the polynomial's kernel, not of the class."""
+    n = len(seidel)
     c = seidel_char_poly[::-1]  # x^n + c_1 x^(n-1) + ... + c_n
+    s = seidel.astype(object)  # Python integers: exact at any n
+    power = np.identity(n, dtype=object)
     sums: list[int] = []
     for k in range(1, n + 1):
+        power = power.dot(s)
         sums.append(-k * c[k] - sum(c[i] * sums[k - 1 - i] for i in range(1, k)))
-    moduli = _power_sum_moduli(n)
-    if not moduli:
-        return [(0, sums)]
-    return [(m, [s % m for s in sums]) for m in moduli]
+        if sums[-1] != sum(power.diagonal().tolist()):
+            raise AssertionError(
+                f"base's Seidel characteristic polynomial disagrees with its power sum p_{k}"
+            )
 
 
 class _BlockKernel:
@@ -138,18 +128,18 @@ class _BlockKernel:
 
     Owns the block buffers and reuses them from block to block: fresh
     arrays for every block cost more in page faults than the arithmetic
-    does (about twice the time of the power-sum check at n=16).
+    does.
     """
 
     def __init__(self, base_adj: np.ndarray, shift: int):
         n = base_adj.shape[0]
         self.base_adj = base_adj.astype(np.float64)
+        self.base_seidel = 1.0 - np.eye(n) - 2.0 * self.base_adj
         self.shift = shift
         self.vertex = np.arange(n)
-        # low and high hold consecutive Seidel powers, and serve keys() as
-        # reachability buffers; scratch is touched only on the modular route.
-        self.adj, self.low, self.high, self.scratch = np.empty((4, BLOCK, n, n))
-        self.low_image, self.high_image = np.empty((2, BLOCK, n, n), dtype=np.int64)
+        # low and high serve keys() as reachability buffers, and low serves
+        # check_similarity() as the expected Seidel matrices.
+        self.adj, self.low, self.high = np.empty((3, BLOCK, n, n))
 
     def blocks(self, start: int, stop: int):
         """Yield (subset indices, member adjacency tensor) for start..stop-1;
@@ -204,58 +194,32 @@ class _BlockKernel:
         keys = np.column_stack((q, p, b, connected, valency_counts))
         return keys, no_two_walk
 
-    def _image(self, power: np.ndarray, modulus: int, out: np.ndarray) -> None:
-        """power as int64, reduced modulo modulus unless it is 0."""
-        if modulus:
-            # x - q floor(x / q) is exact in float64 for |x| < 2^52.
-            rest = self.scratch[: len(power)]
-            np.divide(power, modulus, out=rest)
-            np.floor(rest, out=rest)
-            rest *= -modulus
-            rest += power
-            power = rest
-        out[...] = power
-
-    def check_power_sums(self, adj: np.ndarray, subs: np.ndarray, targets) -> None:
-        """Raise unless every member's Seidel power sums p_1..p_n equal the
-        targets (see `_power_sum_targets`).  Overwrites adj with the Seidel
-        matrices S = J - I - 2A.
-
-        p_k = <S^a, S^b> with a = k // 2 and b = k - a, walking k upwards
-        with S^a and S^b (b = a or a + 1) as the only powers held.
-        """
+    def check_similarity(self, adj: np.ndarray, subs: np.ndarray) -> None:
+        """Raise unless every member's Seidel matrix J - I - 2A is
+        (d d^T) o S for the base's S, with d = 1 - 2 (switching indicator)
+        taken from the subset indices alone.  That is D S D with D = diag(d)
+        orthogonal, so the member has the base's Seidel polynomial.  Every
+        entry is 0 or +-1, so the test is exact.  Overwrites adj with the
+        members' Seidel matrices."""
         bsz, n, _ = adj.shape
-        s = adj
-        s *= -2.0
-        s += 1.0 - np.eye(n)
-        differ = np.zeros(bsz, dtype=bool)
-        for modulus, want in targets:
-            low, high = self.low[:bsz], self.high[:bsz]
-            low_image, high_image = self.low_image[:bsz], self.high_image[:bsz]
-            low[...] = np.eye(n)
-            low_image[...] = np.eye(n, dtype=np.int64)
-            for k in range(1, n + 1):
-                if k % 2:  # b = a + 1
-                    np.matmul(low, s, out=high)
-                    self._image(high, modulus, high_image)
-                else:  # a = b: the higher power becomes the lower one
-                    low, high = high, low
-                    low_image, high_image = high_image, low_image
-                got = np.einsum("bij,bij->b", low_image, high_image if k % 2 else low_image)
-                if modulus:
-                    got %= modulus
-                differ |= got != want[k - 1]
+        d = 1.0 - 2.0 * (((subs << self.shift)[:, None] >> self.vertex) & 1)
+        adj *= -2.0
+        adj += 1.0 - np.eye(n)
+        want = self.low[:bsz]
+        np.multiply(d[:, :, None], d[:, None, :], out=want)
+        want *= self.base_seidel
+        differ = (adj != want).any(axis=(1, 2))
         if differ.any():
             raise ClassificationError(
-                f"Seidel power sums changed under switching at subset {subs[differ.argmax()]}"
+                f"Seidel matrix is not a switch of the base's at subset {subs[differ.argmax()]}"
             )
 
 
 def _census_chunk(args) -> dict:
     """Integer-key counts of subsets start..stop-1, each member's Seidel
-    power sums checked against the targets.  two_graph says whether the
+    matrix certified a switch of the base's.  two_graph says whether the
     class is a regular two-graph (see the module docstring)."""
-    base_adj, shift, targets, two_graph, start, stop = args
+    base_adj, shift, two_graph, start, stop = args
     kernel = _BlockKernel(base_adj, shift)
     out: dict[tuple, list] = {}
     for subs, adj in kernel.blocks(start, stop):
@@ -272,7 +236,7 @@ def _census_chunk(args) -> dict:
                 f"non-regular member at subset {subs[i]} without two-walk "
                 f"parameters: degrees {degs}"
             )
-        kernel.check_power_sums(adj, subs, targets)
+        kernel.check_similarity(adj, subs)
         rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         for key, sub in zip(rows.tolist(), subs.tolist()):
             slot = out.get(key)
@@ -342,7 +306,8 @@ class CensusTable:
     rows: tuple
     totals: dict
     # What the census checked: seidel_members_checked (members whose Seidel
-    # power sums p_1..p_n were compared with the base's), structure_checks
+    # matrix was certified D S D for the base's S, so that they share its
+    # Seidel polynomial), structure_checks
     # ("ran" or "skipped") and structure_skip_reason (why, or None).
     verification: dict
 
@@ -435,8 +400,8 @@ def _verify_structure(member: Graph, row: CensusRow, base_rep, alpha: int) -> No
             f"at subset {row.representative_subset}"
         )
     if row.connected:
-        # Every member's Seidel power sums matched the base's, so the base's
-        # Seidel spectrum is the member's.
+        # Every member's Seidel matrix is D S D for the base's S, so the
+        # base's Seidel spectrum is the member's.
         verdict = verify_nonregular_structure(member, base_rep)
         if not verdict.passed:
             raise ClassificationError(
@@ -471,18 +436,20 @@ def census_table(
     per CPU, and the merge adds exact counts keyed identically.  Under
     all-subsets each index builds one member of a complementary pair, which
     counts twice (see `_enumeration`); its representative, the smaller mask
-    of the pair, is the one a 2^n enumeration would keep.  Every member's
-    Seidel power sums p_1..p_n are checked, inside the workers, against
-    those of the base's Seidel characteristic polynomial (exactly in int64
-    for n <= 16, modulo primes whose product exceeds twice the bound
-    n^2 (n-1)^(n-2) for 17 <= n <= 24; see `_power_sum_moduli`), and when
-    the class is a non-trivial regular two-graph the representative of every row is
+    of the pair, is the one a 2^n enumeration would keep.  Inside the
+    workers every member's Seidel matrix is certified to be D S D for the
+    base's S, with D = diag(d) from the subset's switching signs (see
+    `_BlockKernel.check_similarity`; entries 0 and +-1, so exact at any n).
+    D is orthogonal, so each member has the base's Seidel polynomial, which
+    is itself cross-checked once against the power sums of exact integer
+    powers of S (`_check_base_power_sums`).  When the class is a
+    non-trivial regular two-graph the representative of every row is also
     re-checked against the forced spectral structure.  For every base, each
     row's representative must reproduce the row's whole key under the
     one-graph code.  ``verification`` on the result says what was checked
     and what skipped; its seidel_members_checked counts members (2^n under
     all-subsets), each of whose Seidel matrices is bit-identical to one
-    the kernel checked.
+    the kernel certified.
     """
     convention = Convention(convention)
     _check_size(base.n)
@@ -491,12 +458,12 @@ def census_table(
     shift, weight = _enumeration(convention)
     subsets = 1 << (base.n - 1)
     base_rep = seidel_report(base)
-    targets = _power_sum_targets(base_rep.seidel_char_poly)
+    _check_base_power_sums(seidel_matrix(base), base_rep.seidel_char_poly)
     base_adj = base.adjacency_matrix()
     ranges = min(workers, subsets)
     bounds = [subsets * i // ranges for i in range(ranges + 1)]
     two_graph = base_rep.regular_two_graph
-    jobs = [(base_adj, shift, targets, two_graph, bounds[i], bounds[i + 1]) for i in range(ranges)]
+    jobs = [(base_adj, shift, two_graph, bounds[i], bounds[i + 1]) for i in range(ranges)]
     if ranges == 1:
         parts = [_census_chunk(jobs[0])]
     else:
@@ -541,21 +508,22 @@ def verify_switching_invariance_exhaustive(
 ) -> int:
     """Check every member's Seidel characteristic polynomial against the base's.
 
-    Runs the census kernel's power-sum check alone: each member's p_1..p_n
-    from exact matrix powers against the base's, derived from its
-    Faddeev-LeVerrier characteristic polynomial by Newton's identities.
-    Returns the number of members checked: 2^(n-1) up to complement, 2^n
-    under all-subsets, where each of the 2^(n-1) matrices built stands for
-    itself and its complement's bit-identical one (see `_enumeration`).
+    Runs the census kernel's similarity certificate alone, after the
+    once-per-census cross-check of the base's Faddeev-LeVerrier polynomial
+    against its exact power sums (see `census_table`).  Returns the number
+    of members checked: 2^(n-1) up to complement, 2^n under all-subsets,
+    where each of the 2^(n-1) matrices built stands for itself and its
+    complement's bit-identical one (see `_enumeration`).
     """
     convention = Convention(convention)
     _check_size(base.n)
     shift, weight = _enumeration(convention)
     subsets = 1 << (base.n - 1)
-    targets = _power_sum_targets(char_poly(seidel_matrix(base)))
+    seidel = seidel_matrix(base)
+    _check_base_power_sums(seidel, char_poly(seidel))
     kernel = _BlockKernel(base.adjacency_matrix(), shift)
     for subs, adj in kernel.blocks(0, subsets):
-        kernel.check_power_sums(adj, subs, targets)
+        kernel.check_similarity(adj, subs)
     return weight * subsets
 
 

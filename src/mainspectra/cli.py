@@ -15,8 +15,9 @@ more than two main eigenvalues); 3 when a census member contradicts the
 structure its switching class forces; 4 when one of the program's own
 self-checks fails (the walk rank and the two-walk test disagree,
 char_polys' check prime disagrees, the walk-rank certificate runs out of
-primes or meets four unlucky primes, or a Seidel spectrum forces adjacency
-eigenvalues that are not algebraic integers).
+primes or meets four unlucky primes, a Seidel spectrum forces adjacency
+eigenvalues that are not algebraic integers, or a census base's Seidel
+polynomial disagrees with its exact power sums).
 Errors are reported as one line on stderr, without a traceback.
 """
 

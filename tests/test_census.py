@@ -2,7 +2,7 @@ import os
 import random
 import re
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,11 @@ from mainspectra.census import (
     BLOCK,
     _BlockKernel,
     _census_key,
-    _power_sum_moduli,
-    _power_sum_targets,
     parse_valencies,
     valencies_str,
 )
 from mainspectra.cli import main
-from mainspectra.seidel import seidel_matrix, seidel_report, switch_mask
+from mainspectra.seidel import seidel_report, switch_mask
 
 from conftest import paley_plus_k1
 from oracles import classify_member, enumerate_switching_class, poly_divides, switch
@@ -442,12 +440,12 @@ def test_corrupted_all_subsets_member_is_named(monkeypatch):
         verify_switching_invariance_exhaustive(base, Convention.ALL_SUBSETS)
 
 
-def test_corrupted_member_caught_by_power_sums(monkeypatch):
+def test_corrupted_member_caught_by_similarity(monkeypatch):
     # K4 minus an edge still has two-walk parameters (1, 4), so only the
     # Seidel check can see that it is not a switch of K4.
     _corrupt(monkeypatch, 0)
     assert classify_member(graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-    with pytest.raises(ClassificationError, match=r"Seidel power sums changed .* subset 0$"):
+    with pytest.raises(ClassificationError, match=r"not a switch of the base's at subset 0$"):
         census_table(complete(4))
 
 
@@ -586,29 +584,8 @@ def test_rows_sort_by_their_own_fields(base, convention):
     assert rows == sorted(reversed(rows))
 
 
-def test_power_sum_moduli():
-    for n in range(1, 17):
-        assert _power_sum_moduli(n) == ()
-    for n in range(17, 25):
-        moduli = _power_sum_moduli(n)
-        assert all(m < 1 << 26 for m in moduli)
-        assert prod(moduli) > 2 * n * n * (n - 1) ** (n - 2)
-        assert prod(moduli[:-1]) <= 2 * n * n * (n - 1) ** (n - 2)
-    assert len(_power_sum_moduli(24)) == 5
-    with pytest.raises(ValueError):
-        _power_sum_moduli(30)
-    # the largest primes below 2^26, char_polys' primes
-    primes = (67108859, 67108837, 67108819, 67108777, 67108763)
-    counts = {16: 0, 17: 3, 18: 3, 19: 4, 20: 4, 21: 4, 22: 4, 23: 4, 24: 5}
-    for n, count in counts.items():
-        assert _power_sum_moduli(n) == primes[:count]
-
-
-def test_n17_census_takes_the_modular_route(monkeypatch):
+def test_k17_census_counts_and_names_a_corrupted_member(monkeypatch):
     base = complete(17)
-    # S = I - J has eigenvalue -16, so p_17 = 16 - 2^68 does not fit int64.
-    targets = _power_sum_targets(char_poly(seidel_matrix(base)))
-    assert len(targets) == 3 and all(modulus for modulus, _ in targets)
     table = census_table(base)
     assert table.verification["seidel_members_checked"] == 1 << 16
     # switching K17 by a set U leaves K_|U| + K_(17-|U|); U or its complement
@@ -617,5 +594,32 @@ def test_n17_census_takes_the_modular_route(monkeypatch):
     for a in range(1, 9):
         assert counts[((a - 1, a), (16 - a, 17 - a))] == comb(17, a)
     _corrupt(monkeypatch, 5)
-    with pytest.raises(ClassificationError, match=r"Seidel power sums changed .* subset 5$"):
+    with pytest.raises(ClassificationError, match=r"not a switch of the base's at subset 5$"):
         verify_switching_invariance_exhaustive(base)
+
+
+def test_similarity_certificate_on_a_24_vertex_block():
+    # n = 24 is the census cap; every entry is 0 or +-1, so any n is exact
+    rng = random.Random(2016)
+    base = graph_from_edges(24, [(u, v) for u in range(24) for v in range(u) if rng.random() < 0.5])
+    kernel = _BlockKernel(base.adjacency_matrix(), 1)
+    start = (1 << 22) + 12345
+    subs, adj = next(kernel.blocks(start, start + BLOCK))
+    flipped = adj.copy()
+    flipped[17, 20, 23] = flipped[17, 23, 20] = 1 - flipped[17, 20, 23]
+    kernel.check_similarity(adj, subs)  # a clean block passes
+    with pytest.raises(ClassificationError, match=rf"at subset {start + 17}$"):
+        kernel.check_similarity(flipped, subs)
+
+
+def test_similarity_takes_its_signs_from_the_subsets():
+    # a right block with wrong subset indices: the switching signs are not
+    # read back from the block, so the certificate fails
+    base = symplectic_graph(2)
+    kernel = _BlockKernel(base.adjacency_matrix(), 1)
+    subs, adj = next(kernel.blocks(640, 640 + BLOCK))
+    wrong = subs.copy()
+    wrong[9] ^= 1 << 4
+    with pytest.raises(ClassificationError, match=rf"at subset {wrong[9]}$"):
+        kernel.check_similarity(adj.copy(), wrong)
+    kernel.check_similarity(adj, subs)

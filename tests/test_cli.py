@@ -407,6 +407,23 @@ def test_failed_self_check_exits_4(capsys, tmp_path, monkeypatch, module, name, 
     assert err.startswith("mainspectra analyze: self-check failed: ") and message in err
 
 
+def test_census_base_polynomial_self_check_exits_4(capsys, monkeypatch):
+    # a wrong constant term changes p_n alone among the base's power sums
+    report = census.seidel_report
+
+    def wrong_polynomial(g):
+        rep = report(g)
+        rep.seidel_char_poly = (rep.seidel_char_poly[0] + 1, *rep.seidel_char_poly[1:])
+        return rep
+
+    monkeypatch.setattr(census, "seidel_report", wrong_polynomial)
+    err = _one_line_error(capsys, ["census", "--r", "1"], cli.EXIT_SELF_CHECK)
+    assert err == (
+        "mainspectra census: self-check failed: base's Seidel characteristic polynomial "
+        "disagrees with its power sum p_4\n"
+    )
+
+
 HEADER = "alpha,beta,mu0,mu1,valencies,count\n"
 MALFORMED_REFERENCES = [
     ("alpha,beta,mu1,valencies,count\n8,-9,4-sqrt(7),\"3^1,5^3,7^12\",240\n",
