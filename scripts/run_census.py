@@ -6,7 +6,10 @@ against the bundled reference table, and writes artifacts into results/:
 
   census_up_to_complement.csv
   census_all_subsets.csv
-  census_audit.json          both audits plus the exhaustive invariance count
+  census_audit.json          both audits plus the exhaustive invariance
+                             count: the up-to-complement members whose
+                             Seidel matrix the census certified as a
+                             switch of the base's
 
 Every file holds exact results only, so a rerun rewrites them byte for
 byte; the timings are printed.
@@ -27,7 +30,6 @@ from mainspectra import (
     census_table,
     compare_to_reference,
     symplectic_graph,
-    verify_switching_invariance_exhaustive,
 )
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -41,7 +43,7 @@ def main(argv=None) -> int:
     RESULTS.mkdir(exist_ok=True)
     base = symplectic_graph(2)
     reference = bundled_reference_rows()
-    combined = {"base_graph6": None, "audits": {}}
+    combined = {"base_graph6": None, "audits": {}, "exhaustive_seidel_invariance_members": None}
 
     for convention in (Convention.UP_TO_COMPLEMENT, Convention.ALL_SUBSETS):
         t0 = time.perf_counter()
@@ -54,16 +56,13 @@ def main(argv=None) -> int:
         combined["base_graph6"] = table.base_graph6
         combined["audits"][convention.value] = audit.to_json()
         print(f"{convention.value}: {table.totals} in {dt:.1f}s -> {csv_path}")
+        if convention is Convention.UP_TO_COMPLEMENT:
+            members = table.verification["seidel_members_checked"]
+            combined["exhaustive_seidel_invariance_members"] = members
         mismatched = [r for r in audit.rows if r["verdict"] != "match"]
         print(f"  audit: {audit.totals}")
         for row in mismatched:
             print(f"  {row}")
-
-    t0 = time.perf_counter()
-    checked = verify_switching_invariance_exhaustive(base, Convention.UP_TO_COMPLEMENT)
-    combined["exhaustive_seidel_invariance_members"] = checked
-    dt = time.perf_counter() - t0
-    print(f"exhaustive Seidel invariance: {checked} members verified in {dt:.1f}s")
 
     audit_path = RESULTS / "census_audit.json"
     audit_path.write_text(json.dumps(combined, indent=1))

@@ -25,7 +25,8 @@ PYTHONPATH=src) and writes into OUT_DIR:
              conference two-graph) under both conventions; census on the
              path P4, whose class is not a regular two-graph and holds
              members with more than two main eigenvalues;
-             census --reference on three malformed reference CSVs,
+             census --reference on four malformed reference CSVs (the
+             last repeats a row),
              --audit without --reference, --r 10^12 (4^r vertices), --r 40
              under a cap above sys.maxsize and --r 20 under a cap of 10^18
              (a graph larger than memory)
@@ -163,6 +164,7 @@ def census_outputs(out: Path, inputs: Path) -> None:
         "no-mu0": "alpha,beta,mu1,valencies,count\n" + row.replace("4+sqrt(7),", "", 1),
         "short-row": header + "8,-9,4+sqrt(7)\n",
         "bad-valencies": header + row + "8,-9,4+sqrt(7),4-sqrt(7),5,1\n",
+        "duplicate-row": header + row + row,
     }
     for name, text in malformed.items():
         reference = inputs / f"reference_{name}.csv"

@@ -29,8 +29,6 @@ from .constructions import (
 from .equitable import (
     equitable_records,
     is_equitable,
-    main_bound,
-    refine_to_equitable,
     valency_partition,
 )
 from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
@@ -47,7 +45,6 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     path,
-    relabel,
     star,
     t_lambda_tree,
     vertex_cap,
@@ -56,12 +53,10 @@ from .linalg import (
     char_poly,
     char_polys,
     distinct_root_count,
-    eigenvalues_float,
     squarefree_part,
 )
 from .seidel import (
     SeidelReport,
-    is_strong,
     seidel_matrix,
     seidel_report,
     seidel_reports,
@@ -73,9 +68,6 @@ from .spectrum import (
     QuadraticPair,
     TwoWalkParams,
     analyze,
-    harmonic_delta,
-    main_eigenvalue_count,
-    main_eigenvalue_counts,
     main_spectrum_reports,
     main_values,
     two_walk_params,

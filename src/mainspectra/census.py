@@ -542,13 +542,21 @@ class ReferenceRow:
 
 
 def parse_valencies(text: str) -> tuple:
-    out = []
+    """The valency multiset ((degree, count), ...) by increasing degree, from
+    DEGREE^COUNT items; a repeated degree, a negative degree or a count
+    below 1 raises ValueError."""
+    out: dict[int, int] = {}
     for part in text.split(","):
         deg, caret, mult = part.strip().partition("^")
         if not caret:
             raise ValueError(f"valencies {text!r}: expected DEGREE^COUNT items")
-        out.append((int(deg), int(mult)))
-    return tuple(sorted(out))
+        deg, mult = int(deg), int(mult)
+        if deg in out:
+            raise ValueError(f"valencies {text!r}: degree {deg} repeated")
+        if deg < 0 or mult < 1:
+            raise ValueError(f"valencies {text!r}: {deg}^{mult} needs degree >= 0, count >= 1")
+        out[deg] = mult
+    return tuple(sorted(out.items()))
 
 
 _REFERENCE_COLUMNS = ("alpha", "beta", "mu0", "mu1", "valencies", "count")
@@ -556,30 +564,34 @@ _REFERENCE_COLUMNS = ("alpha", "beta", "mu0", "mu1", "valencies", "count")
 
 def load_reference_csv(text: str) -> list[ReferenceRow]:
     """Reference rows from CSV text with the _REFERENCE_COLUMNS.  A missing
-    column, a row longer or shorter than the header or a value that does
-    not parse raises ValueError naming its line."""
+    column, a row longer or shorter than the header, a value that does not
+    parse or a repeat of an earlier row's key (alpha, beta, valencies), which
+    compare_to_reference would overwrite, raises ValueError naming its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"reference CSV line 1: no column {', '.join(missing)}")
-    rows = []
+    rows, line_of = [], {}
     for rec in reader:
         where = f"reference CSV line {reader.line_num}"
         if None in rec or None in rec.values():  # how DictReader marks a long or short row
             raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields, like the header")
         try:
-            rows.append(
-                ReferenceRow(
-                    alpha=Fraction(rec["alpha"]),
-                    beta=Fraction(rec["beta"]),
-                    mu0=rec["mu0"],
-                    mu1=rec["mu1"],
-                    valencies=parse_valencies(rec["valencies"]),
-                    count=int(rec["count"]),
-                )
+            row = ReferenceRow(
+                alpha=Fraction(rec["alpha"]),
+                beta=Fraction(rec["beta"]),
+                mu0=rec["mu0"],
+                mu1=rec["mu1"],
+                valencies=parse_valencies(rec["valencies"]),
+                count=int(rec["count"]),
             )
         except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
             raise ValueError(f"{where}: value does not parse ({exc})") from None
+        key = (row.alpha, row.beta, row.valencies)
+        if key in line_of:
+            raise ValueError(f"{where}: repeats the alpha, beta, valencies of line {line_of[key]}")
+        line_of[key] = reader.line_num
+        rows.append(row)
     return rows
 
 

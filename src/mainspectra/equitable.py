@@ -10,7 +10,7 @@ the number of main eigenvalues by r.
 from __future__ import annotations
 
 from .graphs import Graph, degree_vector
-from .linalg import char_poly, char_polys, distinct_root_count
+from .linalg import char_polys, distinct_root_count
 
 Partition = tuple
 
@@ -65,48 +65,27 @@ def _signature_groups(g: Graph, blocks) -> list[dict[tuple, list[int]]]:
     return out
 
 
-def _quotient_rows(groups) -> list[tuple[int, ...]]:
-    """The integer quotient rows of a signature pass, one per block, when
-    every block has exactly one signature; ValueError otherwise."""
-    if any(len(sigs) != 1 for sigs in groups):
-        raise ValueError("partition is not equitable")
-    return [next(iter(sigs)) for sigs in groups]
-
-
 def is_equitable(g: Graph, blocks) -> bool:
     groups = _signature_groups(g, _check_partition(g, blocks))
     return all(len(sigs) == 1 for sigs in groups)
 
 
 def _refine(g: Graph, blocks) -> tuple[Partition, list[tuple[int, ...]]]:
-    """refine_to_equitable's partition and its quotient rows, the signatures
-    of the last round, which split no block."""
+    """The coarsest equitable partition refining blocks, and its integer
+    quotient rows, one per block.
+
+    Each round splits every block by the vector of neighbour counts into the
+    current blocks; sub-blocks are ordered by signature, so the result is
+    deterministic.  The first round that splits no block leaves exactly one
+    signature in each block, and those signatures are the quotient rows.
+    """
     blocks = _check_partition(g, blocks)
     while True:
         groups = _signature_groups(g, blocks)
         refined = tuple(tuple(sigs[sig]) for sigs in groups for sig in sorted(sigs))
         if len(refined) == len(blocks):
-            return blocks, _quotient_rows(groups)
+            return blocks, [next(iter(sigs)) for sigs in groups]
         blocks = refined
-
-
-def refine_to_equitable(g: Graph, blocks) -> Partition:
-    """Coarsest equitable partition refining the input; idempotent.
-
-    Each round splits every block by the vector of neighbour counts into the
-    current blocks; sub-blocks are ordered by signature, so the result is
-    deterministic.
-    """
-    return _refine(g, blocks)[0]
-
-
-def main_bound(g: Graph, blocks) -> int:
-    """Distinct quotient eigenvalues of an equitable partition.
-
-    The number of main eigenvalues of g never exceeds this.
-    """
-    groups = _signature_groups(g, _check_partition(g, blocks))
-    return distinct_root_count(char_poly(_quotient_rows(groups)))
 
 
 def equitable_records(graphs) -> list[dict]:

@@ -189,18 +189,6 @@ def diameter(g: Graph) -> int | float:
     return best
 
 
-def relabel(g: Graph, perm: Iterable[int]) -> Graph:
-    """Apply the vertex permutation v -> perm[v]."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        for u in _bits(g.rows[v]):
-            rows[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, rows, _validate=False)
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}

@@ -235,24 +235,17 @@ def _residues(stack, a, moduli: list[int], p, negated_inverses) -> np.ndarray:
     return residues.reshape(n + 1, batch, count).transpose(2, 1, 0).astype(np.int64)
 
 
-def eigenvalues_float(mat) -> list[float]:
-    """Sorted float eigenvalues of a symmetric integer matrix, given as an
-    array or as rows (cross-check only)."""
-    a = np.asarray(mat, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix is not square")
-    if (a != a.T).any():
-        i, j = np.argwhere(np.triu(a != a.T))[0].tolist()
-        raise ValueError(f"matrix not symmetric at ({i}, {j})")
-    return sorted(np.linalg.eigvalsh(a).tolist())
+# Float eigenvalues closer than this are reported as one, with multiplicity.
+_CLUSTER_GAP = 1e-6
 
 
-def cluster_floats(values, tol: float = 1e-6) -> list[tuple[float, int]]:
-    """Group a sorted list of floats into clusters separated by more than tol."""
+def cluster_floats(values) -> list[tuple[float, int]]:
+    """Group a sorted list of floats into clusters separated by more than
+    _CLUSTER_GAP."""
     out: list[tuple[float, int]] = []
     group: list[float] = []
     for x in values:
-        if group and x - group[-1] > tol:
+        if group and x - group[-1] > _CLUSTER_GAP:
             out.append((sum(group) / len(group), len(group)))
             group = []
         group.append(x)

@@ -48,13 +48,9 @@ def switch_mask(g: Graph, mask: int) -> Graph:
     return Graph(g.n, rows, _validate=False)
 
 
-def is_strong(g: Graph) -> bool:
-    """Exact test of S^2 in <S, I, J>."""
-    return _is_strong(seidel_matrix(g))
-
-
 def _is_strong(s: np.ndarray) -> bool:
-    """Strength of the graph with int64 Seidel matrix s.
+    """Strength of the graph with int64 Seidel matrix s: the exact test of
+    S^2 in <S, I, J>.
 
     Diagonal entries of S^2 are constant (n-1), so the condition reduces to
     the off-diagonal entries of S^2 being constant on edges (S = -1) and
@@ -129,7 +125,7 @@ def seidel_reports(graphs) -> list[SeidelReport]:
 
     The float eigenvalues are only reported (float_spectrum); no decision
     reads them.  They come from one eigvalsh per stack of same-order
-    Seidel matrices (see linalg.order_stacks).
+    Seidel matrices (see linalg.order_stacks), each row in ascending order.
     """
     graphs = list(graphs)
     mats = [seidel_matrix(g) for g in graphs]
@@ -149,7 +145,7 @@ def seidel_reports(graphs) -> list[SeidelReport]:
                 strong=_is_strong(s),
                 regular_two_graph=g.n >= 2 and distinct == 2,
                 spectrum=spectrum,
-                float_spectrum=tuple(cluster_floats(sorted(values))),
+                float_spectrum=tuple(cluster_floats(values)),
             )
         )
     return reports

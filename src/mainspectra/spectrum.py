@@ -294,25 +294,6 @@ def _adjacency_stack(graphs) -> np.ndarray:
     return a
 
 
-def main_eigenvalue_counts(graphs) -> list[int]:
-    """The number of main eigenvalues of each graph: the rank of its walk
-    matrix (columns j, A j, A^2 j, ...), found modulo primes and proven
-    exactly (see _walk_ranks); one kernel per stack of same-order graphs
-    (see linalg.order_stacks)."""
-    graphs = list(graphs)
-    counts = [0] * len(graphs)
-    for stack in order_stacks([g.n for g in graphs]):
-        for i, k in zip(stack, _walk_ranks(_adjacency_stack([graphs[i] for i in stack]))):
-            counts[i] = k
-    return counts
-
-
-def main_eigenvalue_count(g: Graph) -> int:
-    """The number of main eigenvalues of g: the batch of one of
-    main_eigenvalue_counts."""
-    return main_eigenvalue_counts([g])[0]
-
-
 def two_walk_params(g: Graph) -> TwoWalkParams | None:
     """(alpha, beta) with A d = alpha d + beta j, or None (regular or no solution).
 
@@ -347,13 +328,9 @@ def main_values(params: TwoWalkParams) -> QuadraticPair:
     return pair
 
 
-def harmonic_delta(g: Graph) -> Fraction | None:
-    """The delta with A d = delta d, if any; regular graphs return their valency."""
-    return _harmonic_delta(degree_vector(g), two_walk_params(g))
-
-
 def _harmonic_delta(d: list[int], tw: TwoWalkParams | None) -> Fraction | None:
-    """Harmonicity as the beta = 0 case of the two-walk decision.
+    """The delta with A d = delta d, if any (regular graphs give their
+    valency): harmonicity as the beta = 0 case of the two-walk decision.
 
     A non-regular graph has d outside span(j), so A d = delta d puts A d in
     span(d, j) with beta = 0, and the coefficients there are unique.
@@ -371,9 +348,11 @@ def _ranks_and_radii(graphs) -> tuple[list[int], list[float]]:
 
 
 def main_spectrum_reports(graphs) -> list[MainSpectrumReport]:
-    """Full main-spectrum report for each graph.  The graphs of one order
-    share an adjacency stack: one walk-rank kernel and one eigvalsh for the
-    spectral radius (reported only; no decision reads it)."""
+    """Full main-spectrum report for each graph.  The main count is the rank
+    of the walk matrix (columns j, A j, A^2 j, ...), found modulo primes and
+    proven exactly (see _walk_ranks).  The graphs of one order share an
+    adjacency stack (see linalg.order_stacks): one walk-rank kernel and one
+    eigvalsh for the spectral radius (reported only; no decision reads it)."""
     graphs = list(graphs)
     counts, radii = [0] * len(graphs), [0.0] * len(graphs)
     for stack in order_stacks([g.n for g in graphs]):

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from mainspectra import Graph, graph_from_edges, parse_graph6
+from mainspectra import Graph, graph_from_edges, main_spectrum_reports, parse_graph6
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -29,6 +29,13 @@ def all_n_le_7() -> list[Graph]:
 @pytest.fixture(scope="session")
 def connected_n_le_8() -> list[Graph]:
     return load_corpus("connected_n_le_8.g6")
+
+
+@pytest.fixture(scope="session")
+def connected_n_le_8_reports(connected_n_le_8):
+    """The main-spectrum reports of connected_n_le_8, one batch shared by the
+    tests that check the corpus against an oracle."""
+    return main_spectrum_reports(connected_n_le_8)
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ check the package against them.
   walk, independent of the two-walk test.
 - switch / enumerate_switching_class / classify_member: one member at a
   time, on bitset graphs; the census kernel's reference.
+- relabel: a graph under a vertex permutation, for invariance tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mainspectra.census import ClassificationError, Convention, _check_size
-from mainspectra.graphs import Graph, degree_vector, is_connected
+from mainspectra.graphs import Graph, degree_vector, graph_from_edges, is_connected
 from mainspectra.linalg import Poly, poly_mul, poly_primitive, poly_trim
 from mainspectra.seidel import switch_mask
 from mainspectra.spectrum import fraction_to_json, two_walk_params
@@ -289,3 +290,11 @@ def classify_member(g: Graph) -> tuple:
             f"degrees {sorted(set(degs))}"
         )
     return ("nonregular", tw.alpha, tw.beta, valencies, connected)
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Apply the vertex permutation v -> perm[v]."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("not a permutation of the vertex set")
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

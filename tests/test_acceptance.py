@@ -27,12 +27,9 @@ from mainspectra import (
     diameter,
     distinct_root_count,
     equitable_biregular_from,
-    harmonic_delta,
     is_connected,
     is_equitable,
-    is_strong,
-    main_eigenvalue_counts,
-    seidel_report,
+    seidel_reports,
     sp_component,
     splice_chain,
     srg_params,
@@ -48,7 +45,7 @@ from mainspectra.census import valencies_str
 from mainspectra.linalg import poly_mul
 from mainspectra.seidel import switch_mask
 
-from oracles import classify_member, poly_pow
+from oracles import classify_member, poly_pow, relabel
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -163,7 +160,7 @@ def test_criterion_4_member_structure(base16, census_run):
     print(f"\n[acceptance] criterion 4: PASS ({samples} sampled members + row representatives)")
 
 
-def test_criterion_5_harmonic_fixtures(connected_n_le_8, monkeypatch):
+def test_criterion_5_harmonic_fixtures(connected_n_le_8, connected_n_le_8_reports, monkeypatch):
     t0 = time.perf_counter()
     monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "256")
     for lam in range(2, 7):
@@ -172,7 +169,9 @@ def test_criterion_5_harmonic_fixtures(connected_n_le_8, monkeypatch):
         assert rep.main_values.exact_strings() == (str(lam), "0")
         assert abs(rep.main_values.floats()[0] - rep.spectral_radius) < 1e-9
 
-    two_harmonic = [g for g in connected_n_le_8 if harmonic_delta(g) == 2]
+    two_harmonic = [
+        g for g, rep in zip(connected_n_le_8, connected_n_le_8_reports) if rep.harmonic_delta == 2
+    ]
     t2 = t_lambda_tree(2)
     t2_nx = nx.Graph(t2.edges())
     cycles = 0
@@ -251,19 +250,18 @@ def _float_main_count(g) -> int:
     return count
 
 
-def test_criterion_8_oracle_equivalence(connected_n_le_8, all_n_le_7):
+def test_criterion_8_oracle_equivalence(connected_n_le_8, connected_n_le_8_reports, all_n_le_7):
     mismatches = [
         g
-        for g, count in zip(connected_n_le_8, main_eigenvalue_counts(connected_n_le_8))
-        if count != _float_main_count(g)
+        for g, rep in zip(connected_n_le_8, connected_n_le_8_reports)
+        if rep.main_count != _float_main_count(g)
     ]
     assert not mismatches, f"{len(mismatches)} main-count mismatches"
 
     prop31 = [
         g
-        for g in all_n_le_7
-        if is_strong(g)
-        != (srg_params(g) is not None or seidel_report(g).distinct_seidel_count == 2)
+        for g, rep in zip(all_n_le_7, seidel_reports(all_n_le_7))
+        if rep.strong != (srg_params(g) is not None or rep.distinct_seidel_count == 2)
     ]
     assert not prop31, f"{len(prop31)} strong-graph mismatches"
     print(
@@ -291,8 +289,6 @@ def test_exhaustive_switching_invariance(base16):
 
 
 def test_census_relabel_invariance(base16, census_run):
-    from mainspectra import relabel
-
     table, _ = census_run
     perm = [(5 * v + 3) % 16 for v in range(16)]
     scrambled = census_table(relabel(base16, perm))

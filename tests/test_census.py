@@ -20,7 +20,6 @@ from mainspectra import (
     degree_vector,
     graph_from_edges,
     is_connected,
-    relabel,
     star,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
@@ -38,7 +37,7 @@ from mainspectra.cli import main
 from mainspectra.seidel import seidel_report, switch_mask
 
 from conftest import paley_plus_k1
-from oracles import classify_member, enumerate_switching_class, poly_divides, switch
+from oracles import classify_member, enumerate_switching_class, poly_divides, relabel, switch
 
 
 def test_enumerate_k2():

@@ -6,11 +6,11 @@ import pytest
 
 from mainspectra import (
     analyze,
+    char_poly,
+    distinct_root_count,
     graph_from_edges,
     is_equitable,
-    main_bound,
     parse_graph6,
-    refine_to_equitable,
     seidel_report,
     star,
     symplectic_graph,
@@ -20,6 +20,7 @@ from mainspectra import (
 )
 from mainspectra import census, cli
 from mainspectra.cli import ANALYZE_CHUNK, main
+from mainspectra.equitable import _refine
 
 from oracles import quotient_matrix
 
@@ -79,12 +80,13 @@ def graph_by_graph_record(g):
     """An analyze --seidel --equitable record built from the one-graph calls."""
     record = analyze(g).to_json()
     record["seidel"] = seidel_report(g).to_json()
-    blocks = refine_to_equitable(g, valency_partition(g))
+    blocks = _refine(g, valency_partition(g))[0]
+    quotient = quotient_matrix(g, blocks)
     record["equitable"] = {
         "valency_partition_equitable": is_equitable(g, valency_partition(g)),
         "refined_blocks": [list(b) for b in blocks],
-        "quotient": quotient_matrix(g, blocks).to_json(),
-        "main_bound": main_bound(g, blocks),
+        "quotient": quotient.to_json(),
+        "main_bound": distinct_root_count(char_poly(quotient.int_matrix())),
     }
     return json.dumps(record)
 
@@ -435,11 +437,28 @@ MALFORMED_REFERENCES = [
      "reference CSV line 3: value does not parse (valencies '5': expected DEGREE^COUNT items)"),
     (HEADER + "1/0,-9,4+sqrt(7),4-sqrt(7),5^1,1\n",
      "reference CSV line 2: value does not parse (Fraction(1, 0))"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),\"3^1,3^2\",1\n",
+     "reference CSV line 2: value does not parse (valencies '3^1,3^2': degree 3 repeated)"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),\"3^0,5^16\",1\n",
+     "reference CSV line 2: value does not parse "
+     "(valencies '3^0,5^16': 3^0 needs degree >= 0, count >= 1)"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),5^-1,1\n",
+     "reference CSV line 2: value does not parse "
+     "(valencies '5^-1': 5^-1 needs degree >= 0, count >= 1)"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),-5^1,1\n",
+     "reference CSV line 2: value does not parse "
+     "(valencies '-5^1': -5^1 needs degree >= 0, count >= 1)"),
+    # the same key with the valency items in another order is the same row
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),\"3^1,5^3\",240\n8,0,8,0,5^1,1\n"
+     "8,-9,4+sqrt(7),4-sqrt(7),\"5^3,3^1\",7\n",
+     "reference CSV line 4: repeats the alpha, beta, valencies of line 2"),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, message", MALFORMED_REFERENCES, ids=["column", "short", "long", "value", "zero"]
+    "text, message", MALFORMED_REFERENCES,
+    ids=["column", "short", "long", "value", "zero", "repeated-degree", "zero-count",
+         "negative-count", "negative-degree", "duplicate-row"],
 )
 def test_census_malformed_reference_exits_2(capsys, tmp_path, text, message):
     reference = tmp_path / "reference.csv"

@@ -6,6 +6,7 @@ from mainspectra import (
     BoundaryPairError,
     SpliceError,
     SpliceSpec,
+    analyze,
     boundary_impossibility,
     cone_over_regular,
     complete,
@@ -14,10 +15,8 @@ from mainspectra import (
     diameter,
     equitable_biregular_from,
     graph_from_edges,
-    harmonic_delta,
     is_connected,
     is_equitable,
-    main_eigenvalue_count,
     sp_component,
     splice,
     splice_chain,
@@ -68,14 +67,14 @@ def test_symplectic_rejects():
 def test_cone_over_c4():
     g = cone_over_regular(cycle(4))
     assert two_walk_params(g) == tw(2, 4)
-    assert main_eigenvalue_count(g) == 2
+    assert analyze(g).main_count == 2
     assert is_equitable(g, valency_partition(g))
 
 
 def test_cone_over_complete_is_complete():
     g = cone_over_regular(complete(4))
     assert g == complete(5)
-    assert harmonic_delta(g) == 4
+    assert analyze(g).harmonic_delta == 4
 
 
 def test_cone_over_matching():
@@ -242,10 +241,10 @@ def test_splice_chain_diameters_increase():
 
 def test_harmonic_splice_stays_harmonic():
     h = equitable_biregular_from(3, 0)
-    assert harmonic_delta(h) == 3
+    assert analyze(h).harmonic_delta == 3
     edge = next((a, b) for a, b in h.edges() if is_connected_without(h, a, b))
     out = splice(SpliceSpec(h, edge, h, edge))
-    assert harmonic_delta(out) == 3
+    assert analyze(out).harmonic_delta == 3
     assert two_walk_params(out) == tw(3, 0)
 
 

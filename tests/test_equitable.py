@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from mainspectra import (
+    analyze,
+    char_poly,
     cycle,
+    distinct_root_count,
     equitable_records,
     is_equitable,
-    main_bound,
-    main_eigenvalue_count,
-    main_eigenvalue_counts,
     path,
-    refine_to_equitable,
     symplectic_graph,
     t_lambda_tree,
     valency_partition,
@@ -48,8 +47,18 @@ def test_partition_validation():
         is_equitable(path(3), [(0, 1, 2), ()])
 
 
+def refined(g, blocks):
+    return _refine(g, blocks)[0]
+
+
+def quotient_bound(g, blocks):
+    """The distinct quotient eigenvalues of an equitable partition, from the
+    averaged-count oracle."""
+    return distinct_root_count(char_poly(quotient_matrix(g, blocks).int_matrix()))
+
+
 def test_refine_p5():
-    blocks = refine_to_equitable(path(5), valency_partition(path(5)))
+    blocks = refined(path(5), valency_partition(path(5)))
     assert set(map(frozenset, blocks)) == {
         frozenset({0, 4}),
         frozenset({1, 3}),
@@ -60,9 +69,9 @@ def test_refine_p5():
 
 def test_refine_idempotent_and_trivial():
     p5 = path(5)
-    once = refine_to_equitable(p5, valency_partition(p5))
-    assert refine_to_equitable(p5, once) == once
-    assert refine_to_equitable(cycle(6), [tuple(range(6))]) == (tuple(range(6)),)
+    once = refined(p5, valency_partition(p5))
+    assert refined(p5, once) == once
+    assert refined(cycle(6), [tuple(range(6))]) == (tuple(range(6)),)
 
 
 def test_quotient_examples():
@@ -86,16 +95,11 @@ def test_quotient_json():
 
 def test_main_bound_examples():
     t2 = t_lambda_tree(2)
-    assert main_bound(t2, valency_partition(t2)) == 3
-    assert main_eigenvalue_count(t2) == 2
-    assert main_bound(path(4), valency_partition(path(4))) == 2
-    assert main_bound(cycle(4), [tuple(range(4))]) == 1
-    with pytest.raises(ValueError, match="not equitable"):
-        main_bound(path(5), valency_partition(path(5)))
-    with pytest.raises(ValueError, match="not equitable"):
-        main_bound(t2, [tuple(range(t2.n))])
-    with pytest.raises(ValueError, match="not equitable"):
-        main_bound(path(4), [(0, 1), (2, 3)])
+    records = equitable_records([t2, path(4), cycle(4), path(5)])
+    assert [r["main_bound"] for r in records] == [3, 2, 1, 3]
+    assert analyze(t2).main_count == 2
+    # P5's valency partition is not equitable: the bound is its refinement's
+    assert [r["valency_partition_equitable"] for r in records] == [True, True, True, False]
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,20 +116,20 @@ def test_quotient_edge_count_symmetry(g):
 @settings(max_examples=60, deadline=None)
 @given(graphs())
 def test_refinement_refines_and_is_equitable(g):
-    blocks = refine_to_equitable(g, valency_partition(g))
+    blocks = refined(g, valency_partition(g))
     assert is_equitable(g, blocks)
-    assert refine_to_equitable(g, blocks) == blocks
+    assert refined(g, blocks) == blocks
     # every refined block sits inside one valency class
     degs = {v: g.degree(v) for v in range(g.n)}
     for b in blocks:
         assert len({degs[v] for v in b}) == 1
 
 
-def test_quotient_bound_on_corpus(connected_n_le_8):
+def test_quotient_bound_on_corpus(connected_n_le_8, connected_n_le_8_reports):
     # equitable refinement of the valency partition bounds the main count
-    for g, count in zip(connected_n_le_8, main_eigenvalue_counts(connected_n_le_8)):
-        blocks = refine_to_equitable(g, valency_partition(g))
-        assert count <= main_bound(g, blocks)
+    records = equitable_records(connected_n_le_8)
+    for rep, rec in zip(connected_n_le_8_reports, records, strict=True):
+        assert rep.main_count <= rec["main_bound"]
 
 
 def test_equitable_records_match_one_graph_calls(all_n_le_7):
@@ -134,12 +138,12 @@ def test_equitable_records_match_one_graph_calls(all_n_le_7):
     records = equitable_records(all_n_le_7)
     assert len(records) == len(all_n_le_7)
     for g, rec in zip(all_n_le_7, records):
-        blocks = refine_to_equitable(g, valency_partition(g))
+        blocks = refined(g, valency_partition(g))
         assert rec == {
             "valency_partition_equitable": is_equitable(g, valency_partition(g)),
             "refined_blocks": [list(b) for b in blocks],
             "quotient": quotient_matrix(g, blocks).to_json(),
-            "main_bound": main_bound(g, blocks),
+            "main_bound": quotient_bound(g, blocks),
         }
 
 
@@ -159,10 +163,8 @@ def test_equitable_path_builds_no_fraction(monkeypatch, all_n_le_7):
     # the quotient of an equitable partition is integral: records over a
     # chunk of mixed orders come out right with Fraction unusable
     chunk = all_n_le_7[::25] + [t_lambda_tree(3), symplectic_graph(2), path(5)]
-    expected = []
-    for g in chunk:
-        blocks = refine_to_equitable(g, valency_partition(g))
-        expected.append(quotient_matrix(g, blocks).to_json())
+    blocks = [refined(g, valency_partition(g)) for g in chunk]
+    expected = [quotient_matrix(g, b).to_json() for g, b in zip(chunk, blocks)]
 
     def refuse(cls, *args, **kwargs):
         raise AssertionError("Fraction built on the equitable path")
@@ -172,5 +174,5 @@ def test_equitable_path_builds_no_fraction(monkeypatch, all_n_le_7):
     monkeypatch.undo()
     assert [r["quotient"] for r in records] == expected
     assert [r["main_bound"] for r in records] == [
-        main_bound(g, refine_to_equitable(g, valency_partition(g))) for g in chunk
+        quotient_bound(g, b) for g, b in zip(chunk, blocks)
     ]

@@ -15,13 +15,13 @@ from mainspectra import (
     induced_subgraph,
     is_connected,
     path,
-    relabel,
     star,
     t_lambda_tree,
 )
 from mainspectra.graphs import CAP_ENV_VAR, Graph
 
 from conftest import graphs
+from oracles import relabel
 
 
 def test_graph_from_edges_p3():

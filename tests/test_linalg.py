@@ -12,15 +12,14 @@ from mainspectra import (
     char_polys,
     cycle,
     distinct_root_count,
-    eigenvalues_float,
     path,
-    refine_to_equitable,
     seidel_matrix,
     squarefree_part,
     symplectic_graph,
     valency_partition,
 )
 from mainspectra import linalg
+from mainspectra.equitable import _refine
 from mainspectra.linalg import (
     cluster_floats,
     poly_derivative,
@@ -212,7 +211,7 @@ def test_char_poly_matches_object_oracle(all_n_le_7):
 def test_char_poly_sp6_member():
     g = sp6_member()
     assert char_poly(seidel_matrix(g)) == poly_mul(poly_pow((-7, 1), 36), poly_pow((9, 1), 28))
-    q = quotient_matrix(g, refine_to_equitable(g, valency_partition(g))).int_matrix()
+    q = quotient_matrix(g, _refine(g, valency_partition(g))[0]).int_matrix()
     assert len(q) == 64
     assert char_poly(q) == char_poly_object(q)
 
@@ -490,26 +489,6 @@ def test_divides_rational_divisor():
 # -- float channel -----------------------------------------------------------
 
 
-def test_eigenvalues_float_examples():
-    assert eigenvalues_float([[0, 1], [1, 0]]) == pytest.approx([-1, 1])
-    import math
-
-    expected = sorted(2 * math.cos(2 * math.pi * k / 5) for k in range(5))
-    assert eigenvalues_float(cycle(5).adjacency_matrix()) == pytest.approx(expected)
-    assert eigenvalues_float(path(3).adjacency_matrix()) == pytest.approx(
-        [-math.sqrt(2), 0, math.sqrt(2)]
-    )
-    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(0, 1\)$"):
-        eigenvalues_float([[0, 1], [0, 0]])
-    # asymmetric at (0, 3) and (1, 2): the first in row-major order is named
-    m = [[0] * 4 for _ in range(4)]
-    m[0][3] = m[1][2] = 1
-    with pytest.raises(ValueError, match=r"^matrix not symmetric at \(0, 3\)$"):
-        eigenvalues_float(m)
-    with pytest.raises(ValueError, match="^matrix is not square$"):
-        eigenvalues_float([[1, 2, 3], [4, 5, 6]])
-
-
 @settings(max_examples=40)
 @given(st.integers(0, 10**6))
 def test_float_eigs_near_char_poly_roots(seed):
@@ -523,12 +502,12 @@ def test_float_eigs_near_char_poly_roots(seed):
             val = rng.choice((0, 0, 1, -1, 2))
             m[i][j] = m[j][i] = val
     p = char_poly(m)
-    eigs = eigenvalues_float(m)
+    eigs = np.linalg.eigvalsh(np.array(m, dtype=float)).tolist()
     # roots of the squarefree part are simple, hence well-conditioned
     roots = np.roots(list(reversed(squarefree_part(p))))
     for lam in eigs:
         assert min(abs(lam - r) for r in roots) < 1e-9
-    clusters = cluster_floats(eigs, tol=1e-6)
+    clusters = cluster_floats(eigs)
     assert len(clusters) == distinct_root_count(p)
 
 

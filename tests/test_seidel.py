@@ -11,7 +11,6 @@ from mainspectra import (
     complete,
     cycle,
     graph_from_edges,
-    is_strong,
     path,
     seidel_matrix,
     seidel_report,
@@ -57,15 +56,14 @@ def test_switch_trivials():
 
 
 def test_is_strong_examples():
-    assert is_strong(cycle(5))
-    assert is_strong(complete(6))
-    assert not is_strong(path(5))
+    assert [r.strong for r in seidel_reports([cycle(5), complete(6), path(5)])] == [
+        True, True, False
+    ]
 
 
 def test_strong_matches_oracle_small(all_n_le_7):
-    for g in all_n_le_7:
-        if g.n <= 5:
-            assert is_strong(g) == strong_oracle(g)
+    small = [g for g in all_n_le_7 if g.n <= 5]
+    assert [r.strong for r in seidel_reports(small)] == [strong_oracle(g) for g in small]
 
 
 def test_seidel_report_symplectic16():
@@ -106,7 +104,7 @@ def test_seidel_report_c5():
 
 def test_seidel_report_p4():
     rep = seidel_report(path(4))
-    assert rep.strong == is_strong(path(4))
+    assert rep.strong == strong_oracle(path(4))
     assert rep.distinct_seidel_count == len(
         {round(r, 6) for r, _ in rep.float_spectrum}
     )
@@ -230,9 +228,9 @@ def test_seidel_char_poly_switching_invariant(g, bits):
 
 
 def test_strong_iff_srg_or_two_seidel(all_n_le_7):
-    for g in all_n_le_7:
-        rhs = srg_params(g) is not None or seidel_report(g).distinct_seidel_count == 2
-        assert is_strong(g) == rhs, f"strong-graph biconditional fails on {g!r}"
+    for g, rep in zip(all_n_le_7, seidel_reports(all_n_le_7)):
+        rhs = srg_params(g) is not None or rep.distinct_seidel_count == 2
+        assert rep.strong == rhs, f"strong-graph biconditional fails on {g!r}"
 
 
 def test_regular_two_graph_eigenvalue_product(all_n_le_7):

@@ -22,9 +22,7 @@ from mainspectra import (
     cycle,
     degree_vector,
     graph_from_edges,
-    harmonic_delta,
-    main_eigenvalue_count,
-    main_eigenvalue_counts,
+    main_spectrum_reports,
     main_values,
     path,
     seidel_matrix,
@@ -61,6 +59,10 @@ def petersen():
     return graph_from_edges(10, edges)
 
 
+def main_counts(graphs):
+    return [r.main_count for r in main_spectrum_reports(graphs)]
+
+
 def test_walk_matrix_examples():
     assert walk_matrix(path(3)) == [[1, 1, 2], [1, 2, 2], [1, 1, 2]]
     assert walk_matrix(cycle(4)) == [[1, 2, 4, 8]] * 4
@@ -68,17 +70,17 @@ def test_walk_matrix_examples():
 
 
 def test_main_count_regular_graphs():
-    assert main_eigenvalue_count(cycle(5)) == 1
-    assert main_eigenvalue_count(petersen()) == 1
+    assert analyze(cycle(5)).main_count == 1
+    assert analyze(petersen()).main_count == 1
 
 
 def test_main_count_small():
-    assert main_eigenvalue_count(path(3)) == 2
-    assert main_eigenvalue_count(t_lambda_tree(2)) == 2
+    assert analyze(path(3)).main_count == 2
+    assert analyze(t_lambda_tree(2)).main_count == 2
 
 
-def test_main_count_equals_full_rank(connected_n_le_8):
-    counts = main_eigenvalue_counts(connected_n_le_8)
+def test_main_count_equals_full_rank(connected_n_le_8, connected_n_le_8_reports):
+    counts = [r.main_count for r in connected_n_le_8_reports]
     assert counts == [rank_exact(walk_matrix(g)) for g in connected_n_le_8]
 
 
@@ -96,7 +98,7 @@ def test_main_count_stops_at_first_dependent_walk(monkeypatch):
     monkeypatch.setattr(spectrum, "_walk_step", counted)
     g = t_lambda_tree(6)
     assert g.n == 187
-    assert main_eigenvalue_count(g) == 2
+    assert analyze(g).main_count == 2
     assert sum(products) <= 2
 
 
@@ -104,9 +106,12 @@ def _gnp(n: int, p: float, rng: random.Random):
     return graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
 
 
-def test_main_counts_equal_the_echelon_oracle_on_the_corpora(all_n_le_7, connected_n_le_8):
-    for corpus in (all_n_le_7, connected_n_le_8):
-        assert main_eigenvalue_counts(corpus) == [walk_rank_echelon(g) for g in corpus]
+def test_main_counts_equal_the_echelon_oracle_on_the_corpora(
+    all_n_le_7, connected_n_le_8, connected_n_le_8_reports
+):
+    assert main_counts(all_n_le_7) == [walk_rank_echelon(g) for g in all_n_le_7]
+    counts = [r.main_count for r in connected_n_le_8_reports]
+    assert counts == [walk_rank_echelon(g) for g in connected_n_le_8]
 
 
 @pytest.mark.parametrize("terms", [None, 3], ids=["one-block", "blocks-of-3"])
@@ -118,7 +123,7 @@ def test_main_counts_equal_the_echelon_oracle_on_random_graphs(monkeypatch, term
         monkeypatch.setattr(spectrum, "_DOT_TERMS", terms)
     rng = random.Random(40)
     sample = [_gnp(n, p, rng) for n in range(1, 41, 3) for p in (0.1, 0.3, 0.5, 0.8)]
-    counts = main_eigenvalue_counts(sample)
+    counts = main_counts(sample)
     assert counts == [walk_rank_echelon(g) for g in sample]
     assert len(set(counts)) > 10
 
@@ -131,7 +136,7 @@ def test_main_counts_equal_the_echelon_oracle_on_families(monkeypatch):
     families += [switch_mask(sp6, rng.getrandbits(64)) for _ in range(4)]
     regular = [cycle(9), complete(12), petersen(), sp_component(3), circulant(20, [1, 4, 6])]
     graphs = families + regular
-    counts = main_eigenvalue_counts(graphs)
+    counts = main_counts(graphs)
     assert counts == [walk_rank_echelon(g) for g in graphs]
     assert counts[len(families):] == [1] * len(regular)
     assert counts[:5] == [2] * 5
@@ -150,7 +155,7 @@ def test_path_40_lifts_its_main_polynomial_over_two_primes(monkeypatch):
         return crt(residues)
 
     monkeypatch.setattr(spectrum, "_crt", recorded)
-    assert main_eigenvalue_count(path(40)) == walk_rank_echelon(path(40)) == 20
+    assert analyze(path(40)).main_count == walk_rank_echelon(path(40)) == 20
     assert lifts == [1, 2]
 
 
@@ -177,7 +182,7 @@ def test_an_unlucky_prime_is_outvoted(monkeypatch):
 
     monkeypatch.setattr(spectrum, "primes_below", _primes_from([2], 1 << 26))
     monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
-    assert main_eigenvalue_count(g) == 2
+    assert analyze(g).main_count == 2
     assert seen[0] == 2 and len(seen) >= 2
 
 
@@ -186,7 +191,7 @@ def test_the_kernel_raises_when_the_primes_run_out(monkeypatch):
 
     monkeypatch.setattr(spectrum, "primes_below", _primes_from([2]))
     with pytest.raises(AssertionError, match="ran out of primes"):
-        main_eigenvalue_count(star(4))
+        analyze(star(4))
 
 
 def _complete_union(sizes):
@@ -223,7 +228,7 @@ def test_the_certificate_adds_a_lift_prime(monkeypatch):
     g = _complete_union((11, 10, 9))
     monkeypatch.setattr(spectrum, "primes_below", lambda _top: linalg.primes_below(1 << 12))
     calls = _recorded_eliminations(monkeypatch)
-    assert main_eigenvalue_count(g) == walk_rank_echelon(g) == 3
+    assert analyze(g).main_count == walk_rank_echelon(g) == 3
     assert calls == [[4093], [4091]]
 
 
@@ -234,7 +239,7 @@ def test_the_certificate_adds_a_lift_prime_with_real_primes(monkeypatch):
     monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "512")
     g = _complete_union(range(31, 1, -1))
     calls = _recorded_eliminations(monkeypatch)
-    assert main_eigenvalue_count(g) == 30
+    assert analyze(g).main_count == 30
     assert sum(map(len, calls)) == 7
 
 
@@ -254,7 +259,7 @@ def test_a_wrong_dependency_is_caught_and_never_returned(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_walk_dependencies", corrupted)
     with pytest.raises(AssertionError, match="unlucky primes"):
-        main_eigenvalue_count(path(5))
+        analyze(path(5))
 
 
 def test_analyze_gnp_128_has_full_walk_rank():
@@ -305,21 +310,21 @@ def test_exact_strings_forms():
 
 
 def test_harmonic_examples():
-    assert harmonic_delta(t_lambda_tree(2)) == 2
-    assert harmonic_delta(t_lambda_tree(3)) == 3
-    assert harmonic_delta(path(4)) is None
-    assert harmonic_delta(cycle(7)) == 2  # regular: valency
-    assert harmonic_delta(graph_from_edges(2, [])) == 0
+    graphs = [t_lambda_tree(2), t_lambda_tree(3), path(4), cycle(7), graph_from_edges(2, [])]
+    # regular graphs give their valency
+    assert [r.harmonic_delta for r in main_spectrum_reports(graphs)] == [2, 3, None, 2, 0]
 
 
-def test_harmonic_delta_matches_oracle(all_n_le_7, connected_n_le_8):
+def test_harmonic_delta_matches_oracle(all_n_le_7, connected_n_le_8, connected_n_le_8_reports):
     # the beta = 0 case of the two-walk decision against a Fraction walk of
     # its own: the same value and the same type on every graph
     families = [t_lambda_tree(lam) for lam in range(2, 6)]
     families += [three_valenced_boundary(alpha) for alpha in (4, 6, 8, 10)]
+    reports = main_spectrum_reports(all_n_le_7) + connected_n_le_8_reports
+    reports += main_spectrum_reports(families)
     nonregular_harmonic = 0
-    for g in all_n_le_7 + connected_n_le_8 + families:
-        delta = harmonic_delta(g)
+    for g, rep in zip(all_n_le_7 + connected_n_le_8 + families, reports, strict=True):
+        delta = rep.harmonic_delta
         want = harmonic_delta_walk(g)
         assert delta == want and type(delta) is type(want), f"{g!r}: {delta!r} != {want!r}"
         nonregular_harmonic += delta is not None and len(set(degree_vector(g))) > 1
@@ -418,7 +423,7 @@ def test_t_lambda_reports():
 @settings(max_examples=80, deadline=None)
 @given(graphs(min_n=2, max_n=7))
 def test_two_walk_iff_two_main(g):
-    k = main_eigenvalue_count(g)
+    k = analyze(g).main_count
     tw = two_walk_params(g)
     assert (tw is not None) == (k == 2)
 
@@ -456,10 +461,10 @@ def test_nonregular_harmonic_has_beta_zero(g):
     assert two_walk_params(g) == TwoWalkParams(delta, Fraction(0))
 
 
-def test_one_main_iff_regular_on_corpus(connected_n_le_8):
-    for g in connected_n_le_8[::5]:
+def test_one_main_iff_regular_on_corpus(connected_n_le_8, connected_n_le_8_reports):
+    for g, rep in zip(connected_n_le_8[::5], connected_n_le_8_reports[::5]):
         regular = len(set(degree_vector(g))) == 1
-        assert (main_eigenvalue_count(g) == 1) == regular
+        assert (rep.main_count == 1) == regular
 
 
 def test_spectral_radius_from_the_bitset_adjacency(all_n_le_7):
