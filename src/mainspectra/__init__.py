@@ -61,7 +61,6 @@ from .seidel import (
     seidel_report,
     seidel_reports,
     srg_params,
-    verify_nonregular_structure,
 )
 from .spectrum import (
     MainSpectrumReport,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
-from .linalg import char_poly
+from .linalg import Poly, char_poly, char_polys, distinct_root_count, poly_mul
 from .seidel import (
     non_main_factor,
     seidel_matrix,
@@ -44,7 +44,6 @@ from .seidel import (
     srg_params,
     structure_skip_reason,
     switch_mask,
-    verify_nonregular_structure,
 )
 from .spectrum import QuadraticPair, two_walk_params
 
@@ -367,60 +366,56 @@ def _key_text(kind, alpha, beta, valencies, connected) -> str:
     )
 
 
-def _verify_row(base: Graph, row: CensusRow, shift: int, base_rep, alpha: int | None) -> None:
-    """Raise unless the row's representative has the structure its class
-    forces (checked when alpha, the value forced, is given) and reproduces
-    the row's whole key."""
-    member = switch_mask(base, row.representative_subset << shift)
-    if alpha is not None:
-        _verify_structure(member, row, base_rep, alpha)
-    want = (row.kind, row.alpha, row.beta, row.valencies, row.connected)
-    got = _member_key(member)
-    if got != want:
-        raise ClassificationError(
-            f"row {_key_text(*want)} but its representative is {_key_text(*got)} "
-            f"at subset {row.representative_subset}"
-        )
-
-
-def _verify_structure(member: Graph, row: CensusRow, base_rep, alpha: int) -> None:
-    if row.kind == "regular":
-        if not row.connected:
+def _verify_rows(base: Graph, rows, shift: int, q: Poly | None) -> None:
+    """Raise unless each row's representative reproduces the row's whole
+    key under the one-graph code and, when q (the class's non_main_factor)
+    is given, has the structure its class forces.  Rows are checked in
+    order, the structure before the key.  A connected non-regular
+    representative must have adjacency polynomial (x^2 - alpha x - beta) Q,
+    for its own alpha and beta, with four distinct roots: every member's
+    Seidel matrix is D S D for the base's S, so the base's Seidel spectrum,
+    which forces Q, is the member's.  Those polynomials come from one
+    char_polys call."""
+    members = [switch_mask(base, row.representative_subset << shift) for row in rows]
+    got_keys = [_member_key(member) for member in members]
+    four = [] if q is None else [
+        i for i, row in enumerate(rows) if row.kind == "nonregular" and row.connected
+    ]
+    polys = dict(zip(four, char_polys([members[i].adjacency_matrix() for i in four])))
+    for i, (row, member, got) in enumerate(zip(rows, members, got_keys)):
+        at = f"at subset {row.representative_subset}"
+        if q is None:
+            pass
+        elif row.kind == "regular":
+            if not row.connected:
+                raise ClassificationError(f"regular disconnected member {at}")
+            if srg_params(member) is None:
+                raise ClassificationError(f"regular member {at} is not strongly regular")
+        elif row.alpha != q[-2]:
             raise ClassificationError(
-                f"regular disconnected member at subset {row.representative_subset}"
+                f"alpha {row.alpha} != {q[-2]} forced by the Seidel spectrum {at}"
             )
-        if srg_params(member) is None:
+        elif row.connected:
+            _, alpha, beta, _, _ = got
+            cp = polys[i]
+            factors = alpha is not None and cp == poly_mul((-beta, -alpha, 1), q)
+            if not factors or distinct_root_count(cp) != 4:
+                raise ClassificationError(f"four-eigenvalue structure failed {at}")
+        else:
+            isolated = [v for v in range(member.n) if member.degree(v) == 0]
+            if len(isolated) != 1:
+                raise ClassificationError(
+                    f"disconnected member {at} is not isolated vertex plus strongly regular graph"
+                )
+            rest = induced_subgraph(member, [v for v in range(member.n) if v != isolated[0]])
+            if srg_params(rest) is None:
+                raise ClassificationError(
+                    f"disconnected member {at}: remainder is not strongly regular"
+                )
+        want = (row.kind, row.alpha, row.beta, row.valencies, row.connected)
+        if got != want:
             raise ClassificationError(
-                f"regular member at subset {row.representative_subset} is not strongly regular"
-            )
-        return
-    if row.alpha != alpha:
-        raise ClassificationError(
-            f"alpha {row.alpha} != {alpha} forced by the Seidel spectrum "
-            f"at subset {row.representative_subset}"
-        )
-    if row.connected:
-        # Every member's Seidel matrix is D S D for the base's S, so the
-        # base's Seidel spectrum is the member's.
-        verdict = verify_nonregular_structure(member, base_rep)
-        if not verdict.passed:
-            raise ClassificationError(
-                f"four-eigenvalue structure failed at subset {row.representative_subset}"
-            )
-    else:
-        isolated = [v for v in range(member.n) if member.degree(v) == 0]
-        if len(isolated) != 1:
-            raise ClassificationError(
-                f"disconnected member at subset {row.representative_subset} is not "
-                "isolated vertex plus strongly regular graph"
-            )
-        rest = induced_subgraph(
-            member, [v for v in range(member.n) if v != isolated[0]]
-        )
-        if srg_params(rest) is None:
-            raise ClassificationError(
-                f"disconnected member at subset {row.representative_subset}: "
-                "remainder is not strongly regular"
+                f"row {_key_text(*want)} but its representative is {_key_text(*got)} {at}"
             )
 
 
@@ -483,9 +478,7 @@ def census_table(
         "rows": len(rows),
     }
     skip_reason = structure_skip_reason(base_rep)
-    alpha = None if skip_reason else non_main_factor(base_rep)[-2]
-    for row in rows:
-        _verify_row(base, row, shift, base_rep, alpha)
+    _verify_rows(base, rows, shift, None if skip_reason else non_main_factor(base_rep))
     return CensusTable(
         base_graph6=write_graph6(base),
         convention=convention,
@@ -629,10 +622,19 @@ def compare_to_reference(table: CensusTable, reference) -> AuditReport:
     Verdicts: match, count-mismatch, missing (reference row never computed),
     extra (computed row absent from the reference).  Regular members are not
     part of the reference and are reported only in the totals.  Nothing is
-    normalized away; mismatches stay visible.
+    normalized away; mismatches stay visible.  Reference rows repeating a
+    key (alpha, beta, valencies) raise ValueError.
     """
     computed = table.nonregular_index()
-    ref_by_key = {(r.alpha, r.beta, r.valencies): r for r in reference}
+    ref_by_key = {}
+    for r in reference:
+        key = (r.alpha, r.beta, r.valencies)
+        if key in ref_by_key:
+            raise ValueError(
+                f"reference rows repeat alpha {r.alpha}, beta {r.beta}, "
+                f"valencies {valencies_str(r.valencies)}"
+            )
+        ref_by_key[key] = r
     rows = []
     for key in sorted(set(computed) | set(ref_by_key)):
         got = computed.get(key)

@@ -9,16 +9,14 @@ A graph is strong when S^2 lies in the span of S, I, J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, degree_vector, is_connected
+from .graphs import Graph, degree_vector
 from .linalg import (
     Poly,
     _exact_quotient,
-    char_poly,
     char_polys,
     cluster_floats,
     distinct_root_count,
@@ -28,7 +26,6 @@ from .linalg import (
     poly_trim,
     squarefree_part,
 )
-from .spectrum import TwoWalkParams, two_walk_params
 
 
 def seidel_matrix(g: Graph) -> np.ndarray:
@@ -216,57 +213,3 @@ def srg_params(g: Graph) -> tuple[int, int, int, int] | None:
     lam, mu = values
     lam = 0 if lam is None else lam
     return (g.n, d[0], lam, lam if mu is None else mu)
-
-
-@dataclass
-class NonregularStructure:
-    """Outcome of the four-eigenvalue check for a non-regular member of a
-    non-trivial regular two-graph."""
-
-    non_main_factor: Poly
-    params: TwoWalkParams
-    adjacency_char_poly: tuple
-    char_poly_matches: bool
-    distinct_adjacency_count: int
-
-    @property
-    def passed(self) -> bool:
-        return self.char_poly_matches and self.distinct_adjacency_count == 4
-
-
-def verify_nonregular_structure(
-    g: Graph, seidel: SeidelReport | None = None
-) -> NonregularStructure:
-    """Check the forced adjacency spectrum of a connected non-regular graph
-    whose switching class is a non-trivial regular two-graph.
-
-    The adjacency characteristic polynomial must factor as
-    (x^2 - alpha x - beta) * Q, with Q the class's non_main_factor, and
-    carry exactly four distinct eigenvalues.  seidel is the Seidel
-    report of a graph already shown to be switching-equivalent to g (the
-    Seidel spectrum is a switching invariant); by default it is computed
-    from g.
-    """
-    d = degree_vector(g)
-    if len(set(d)) == 1:
-        raise ValueError("regular input: the strongly-regular branch applies instead")
-    if not is_connected(g):
-        raise ValueError(
-            "disconnected input: isolated-vertex plus strongly-regular branch applies"
-        )
-    rep = seidel if seidel is not None else seidel_report(g)
-    reason = structure_skip_reason(rep)
-    if reason is not None:
-        raise ValueError(reason)
-    tw = two_walk_params(g)
-    if tw is None:
-        raise ValueError("no two-walk parameters: hypothesis violated")
-    q = non_main_factor(rep)
-    cp = char_poly(g.adjacency_matrix())
-    return NonregularStructure(
-        non_main_factor=q,
-        params=tw,
-        adjacency_char_poly=cp,
-        char_poly_matches=poly_mul((-tw.beta, -tw.alpha, Fraction(1)), q) == cp,
-        distinct_adjacency_count=distinct_root_count(cp),
-    )

@@ -20,6 +20,7 @@ from mainspectra import (
     degree_vector,
     graph_from_edges,
     is_connected,
+    path,
     star,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
@@ -30,6 +31,7 @@ from mainspectra.census import (
     BLOCK,
     _BlockKernel,
     _census_key,
+    load_reference_csv,
     parse_valencies,
     valencies_str,
 )
@@ -249,6 +251,16 @@ def test_compare_self_roundtrip():
     verdicts = [r["verdict"] for r in audit.rows]
     assert verdicts.count("count-mismatch") == 1
     assert verdicts.count("match") == len(verdicts) - 1
+
+
+def test_compare_rejects_a_repeated_reference_row():
+    # the CSV loader names the line of a repeat; rows built in code meet the same check
+    table = census_table(complete(4))
+    ref = load_reference_csv('alpha,beta,mu0,mu1,valencies,count\n2,0,2,0,"0^1,2^3",4\n')
+    assert compare_to_reference(table, ref).totals["reference_rows"] == 1
+    message = r"^reference rows repeat alpha 2, beta 0, valencies 0\^1,2\^3$"
+    with pytest.raises(ValueError, match=message):
+        compare_to_reference(table, ref + ref[:1])
 
 
 def test_quadratic_divides_member_char_poly():
@@ -503,6 +515,15 @@ K1_C15 = graph_from_edges(16, [(1 + i, 1 + (i + 1) % 15) for i in range(15)])
             "four-eigenvalue structure failed at subset {}",
         ),
         (
+            # regular, so no two-walk parameters: the structure fails, not the input
+            _swap_members(lambda g: not _regular(g) and is_connected(g), cycle(16)),
+            "four-eigenvalue structure failed at subset {}",
+        ),
+        (
+            _swap_members(lambda g: not _regular(g) and is_connected(g), path(16)),
+            "four-eigenvalue structure failed at subset {}",
+        ),
+        (
             _swap_members(lambda g: not is_connected(g), K14_2K1),
             "disconnected member at subset {} is not isolated vertex plus strongly regular graph",
         ),
@@ -532,7 +553,8 @@ K1_C15 = graph_from_edges(16, [(1 + i, 1 + (i + 1) % 15) for i in range(15)])
             r"nonregular 8,-9 3\^1,5\^3,7\^12 connected at subset {}",
         ),
     ],
-    ids=["regular-not-srg", "four-eigenvalue", "two-isolated", "remainder-not-srg",
+    ids=["regular-not-srg", "four-eigenvalue", "four-eigenvalue-regular",
+         "four-eigenvalue-no-two-walk", "two-isolated", "remainder-not-srg",
          "regular-disconnected", "alpha", "beta", "valencies"],
 )
 def test_row_checks_name_the_failing_row(monkeypatch, patch, message):
@@ -542,6 +564,28 @@ def test_row_checks_name_the_failing_row(monkeypatch, patch, message):
         census_table(symplectic_graph(2))
     subset = str(subsets[0]) if subsets else r"\d+"
     assert re.fullmatch(message.format(subset), str(info.value))
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_row_checks_make_one_char_polys_batch(monkeypatch, convention):
+    batches, factors = [], []
+    real_char_polys, real_factor = census.char_polys, census.non_main_factor
+
+    def char_polys_spy(mats):
+        mats = list(mats)
+        batches.append(len(mats))
+        return real_char_polys(mats)
+
+    def factor_spy(rep):
+        factors.append(rep)
+        return real_factor(rep)
+
+    monkeypatch.setattr(census, "char_polys", char_polys_spy)
+    monkeypatch.setattr(census, "non_main_factor", factor_spy)
+    table = census_table(symplectic_graph(2), convention)
+    assert sum(r.kind == "nonregular" and r.connected for r in table.rows) == 30
+    assert batches == [30]
+    assert len(factors) == 1
 
 
 def test_row_key_is_checked_where_structure_checks_skip(monkeypatch):

@@ -62,7 +62,6 @@ PUBLIC_NAMES = [
     "three_valenced_boundary",
     "two_walk_params",
     "valency_partition",
-    "verify_nonregular_structure",
     "verify_switching_invariance_exhaustive",
     "vertex_cap",
     "write_graph6",

@@ -10,6 +10,7 @@ from mainspectra import (
     char_poly,
     complete,
     cycle,
+    distinct_root_count,
     graph_from_edges,
     path,
     seidel_matrix,
@@ -17,7 +18,6 @@ from mainspectra import (
     seidel_reports,
     srg_params,
     symplectic_graph,
-    verify_nonregular_structure,
 )
 from mainspectra.linalg import poly_mul
 from mainspectra.seidel import non_main_factor, structure_skip_reason
@@ -187,28 +187,20 @@ def test_non_main_factor_rejects_an_even_seidel_eigenvalue():
         non_main_factor(rep)
 
 
-def test_verify_nonregular_structure_census_member():
+def test_sp4_census_member_carries_the_forced_factor():
+    # (alpha, beta) = (8, 15): x^2 - 8x - 15 times the class's non-main factor
     base = symplectic_graph(2)
-    member = switch(base, [0])
-    verdict = verify_nonregular_structure(member)
-    assert verdict.passed
-    assert verdict.non_main_factor == SP4_NON_MAIN
-    assert verdict.params.alpha == 8 and verdict.params.beta == 15
-    assert verdict.distinct_adjacency_count == 4
-    # the base's Seidel report stands in for the member's: same verdict
-    assert verify_nonregular_structure(member, seidel_report(base)) == verdict
+    assert non_main_factor(seidel_report(base)) == SP4_NON_MAIN
+    cp = char_poly(switch(base, [0]).adjacency_matrix())
+    assert cp == poly_mul((-15, -8, 1), SP4_NON_MAIN)
+    assert distinct_root_count(cp) == 4
 
 
-def test_verify_nonregular_structure_rejections():
-    base = symplectic_graph(2)
-    with pytest.raises(ValueError, match="disconnected"):
-        verify_nonregular_structure(base)  # isolated vertex case
-    with pytest.raises(ValueError, match="regular"):
-        verify_nonregular_structure(cycle(5))
-    with pytest.raises(ValueError, match="Seidel") as info:
-        verify_nonregular_structure(path(4))
-    # the precondition is the census's reason to skip its structure checks
-    assert str(info.value) == structure_skip_reason(seidel_report(path(4)))
+def test_structure_skip_reason_of_a_path():
+    # P4's class is not a regular two-graph, so the census skips its structure checks
+    assert structure_skip_reason(seidel_report(path(4))) == (
+        "base is not a regular two-graph (distinct Seidel eigenvalues: 4)"
+    )
 
 
 @settings(max_examples=60, deadline=None)
