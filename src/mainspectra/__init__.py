@@ -64,11 +64,9 @@ from .seidel import (
 )
 from .spectrum import (
     MainSpectrumReport,
-    QuadraticPair,
     TwoWalkParams,
     analyze,
     main_spectrum_reports,
-    main_values,
     two_walk_params,
 )
 

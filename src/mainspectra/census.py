@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from importlib import resources
-from multiprocessing import get_context
+from multiprocessing import Pool
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .seidel import (
     structure_skip_reason,
     switch_mask,
 )
-from .spectrum import QuadraticPair, two_walk_params
+from .spectrum import TwoWalkParams, two_walk_params
 
 # The census visits 2^(n-1) members (8.4 million at n = 24).  That count
 # sets the cap, not the arithmetic, which is exact at any n.
@@ -276,14 +276,14 @@ class CensusRow:
     representative_subset: int
 
     @property
-    def main_values(self) -> QuadraticPair | None:
+    def two_walk(self) -> TwoWalkParams | None:
         if self.kind != "nonregular":
             return None
-        return QuadraticPair(self.alpha, self.beta)
+        return TwoWalkParams(self.alpha, self.beta)
 
     def csv_fields(self) -> list[str]:
         if self.kind == "nonregular":
-            mu0, mu1 = self.main_values.exact_strings()
+            mu0, mu1 = self.two_walk.exact_strings()
             a, b = str(self.alpha), str(self.beta)
         else:
             mu0 = mu1 = a = b = ""
@@ -329,7 +329,7 @@ class CensusTable:
                     "kind": r.kind,
                     "alpha": None if r.alpha is None else str(r.alpha),
                     "beta": None if r.beta is None else str(r.beta),
-                    "main_values": r.main_values.to_json() if r.main_values else None,
+                    "main_values": r.two_walk.main_values_json() if r.two_walk else None,
                     "valencies": valencies_str(r.valencies),
                     "connected": r.connected,
                     "count": r.count,
@@ -462,7 +462,7 @@ def census_table(
     if ranges == 1:
         parts = [_census_chunk(jobs[0])]
     else:
-        with get_context("fork").Pool(min(ranges, os.cpu_count() or 1)) as pool:
+        with Pool(min(ranges, os.cpu_count() or 1)) as pool:
             parts = pool.map(_census_chunk, jobs)
     merged = _merge(
         (_census_key(np.frombuffer(key, dtype=np.int64).tolist()), weight * count, rep)
@@ -652,7 +652,7 @@ def compare_to_reference(table: CensusTable, reference) -> AuditReport:
             entry["verdict"] = "extra"
         else:
             entry["verdict"] = "match" if got.count == ref.count else "count-mismatch"
-            mu = got.main_values.exact_strings()
+            mu = got.two_walk.exact_strings()
             entry["main_values_match"] = mu == (ref.mu0, ref.mu1)
         rows.append(entry)
     verdict_counts = Counter(r["verdict"] for r in rows)

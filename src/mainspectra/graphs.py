@@ -149,15 +149,7 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    reach = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in _bits(frontier):
-            new |= g.rows[v]
-        frontier = new & ~reach
-        reach |= frontier
-    return reach == (1 << g.n) - 1
+    return _bfs_ecc(g, 0) != math.inf
 
 
 def _bfs_ecc(g: Graph, src: int) -> int | float:

@@ -445,21 +445,10 @@ def distinct_root_count(p) -> int:
     return len(p) - len(_derivative_gcd(p))
 
 
-def _synthetic_div(p: Poly, r: int) -> tuple[Poly, int]:
-    """Divide by (x - r); returns (quotient, remainder)."""
-    out = []
-    acc = 0
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    return tuple(reversed([c for c in out])), rem
-
-
 def extract_integer_roots(p, candidates) -> tuple[list[tuple[int, int]], Poly]:
     """Peel the integer roots among the candidates off p with multiplicities.
 
-    candidates are integers, each tested by exact evaluation of p; callers
+    candidates are integers, each tested by exact division by x - r; callers
     pass a range known to hold every integer root.  Returns ((root,
     multiplicity) pairs sorted descending, residual factor).  The residual
     is (1,) exactly when p splits over the integers within the candidates.
@@ -470,10 +459,8 @@ def extract_integer_roots(p, candidates) -> tuple[list[tuple[int, int]], Poly]:
     roots = []
     for r in sorted(set(candidates), reverse=True):
         mult = 0
-        while len(p) > 1 and poly_eval(p, r) == 0:
-            p, rem = _synthetic_div(p, r)
-            if rem != 0:
-                raise AssertionError(f"root {r} leaves remainder {rem}")
+        while (quo := _exact_quotient(p, (-r, 1))) is not None:
+            p = quo
             mult += 1
         if mult:
             roots.append((r, mult))

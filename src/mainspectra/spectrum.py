@@ -38,21 +38,18 @@ def _sqrt_if_square(f: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class TwoWalkParams:
-    """Coefficients of A d = alpha d + beta j."""
+    """Coefficients of A d = alpha d + beta j, and the graph's two main
+    eigenvalues: the ordered roots mu0 > mu1 of x^2 - alpha x - beta, kept exact."""
 
     alpha: Fraction
     beta: Fraction
 
-    def to_json(self) -> dict:
-        return {"alpha": fraction_to_json(self.alpha), "beta": fraction_to_json(self.beta)}
-
-
-@dataclass(frozen=True)
-class QuadraticPair:
-    """The ordered roots mu0 >= mu1 of x^2 - alpha x - beta, kept exact."""
-
-    alpha: Fraction
-    beta: Fraction
+    def __post_init__(self):
+        if self.discriminant <= 0:
+            raise ValueError(
+                f"non-positive discriminant for (alpha, beta) = "
+                f"({self.alpha}, {self.beta}); no graph realizes this"
+            )
 
     @property
     def discriminant(self) -> Fraction:
@@ -78,11 +75,13 @@ class QuadraticPair:
         return (f"({a}+sqrt({disc}))/2", f"({a}-sqrt({disc}))/2")
 
     def to_json(self) -> dict:
+        return {"alpha": fraction_to_json(self.alpha), "beta": fraction_to_json(self.beta)}
+
+    def main_values_json(self) -> dict:
         mu0, mu1 = self.floats()
         s0, s1 = self.exact_strings()
         return {
-            "alpha": fraction_to_json(self.alpha),
-            "beta": fraction_to_json(self.beta),
+            **self.to_json(),
             "mu0": s0,
             "mu1": s1,
             "mu0_float": mu0,
@@ -98,20 +97,31 @@ class MainSpectrumReport:
     regular: bool
     main_count: int
     two_walk: TwoWalkParams | None
-    harmonic_delta: Fraction | None
-    main_values: QuadraticPair | None
     spectral_radius: float
 
+    @property
+    def harmonic_delta(self) -> Fraction | None:
+        """The delta with A d = delta d, if any (regular graphs give their
+        valency): harmonicity as the beta = 0 case of the two-walk decision.
+
+        A non-regular graph has d outside span(j), so A d = delta d puts A d in
+        span(d, j) with beta = 0, and the coefficients there are unique.
+        """
+        if self.two_walk is not None:
+            return self.two_walk.alpha if self.two_walk.beta == 0 else None
+        return Fraction(2 * self.edges, self.n) if self.regular else None
+
     def to_json(self) -> dict:
+        tw = self.two_walk
         return {
             "n": self.n,
             "edges": self.edges,
             "connected": self.connected,
             "regular": self.regular,
             "main_count": self.main_count,
-            "two_walk": self.two_walk.to_json() if self.two_walk else None,
+            "two_walk": tw.to_json() if tw else None,
             "harmonic_delta": fraction_to_json(self.harmonic_delta),
-            "main_values": self.main_values.to_json() if self.main_values else None,
+            "main_values": tw.main_values_json() if tw else None,
             "spectral_radius": self.spectral_radius,
         }
 
@@ -318,28 +328,6 @@ def two_walk_params(g: Graph) -> TwoWalkParams | None:
     return TwoWalkParams(Fraction(p, q), Fraction(b, q))
 
 
-def main_values(params: TwoWalkParams) -> QuadraticPair:
-    pair = QuadraticPair(params.alpha, params.beta)
-    if pair.discriminant <= 0:
-        raise ValueError(
-            f"non-positive discriminant for (alpha, beta) = "
-            f"({params.alpha}, {params.beta}); no graph realizes this"
-        )
-    return pair
-
-
-def _harmonic_delta(d: list[int], tw: TwoWalkParams | None) -> Fraction | None:
-    """The delta with A d = delta d, if any (regular graphs give their
-    valency): harmonicity as the beta = 0 case of the two-walk decision.
-
-    A non-regular graph has d outside span(j), so A d = delta d puts A d in
-    span(d, j) with beta = 0, and the coefficients there are unique.
-    """
-    if tw is None:
-        return Fraction(d[0]) if len(set(d)) == 1 else None
-    return tw.alpha if tw.beta == 0 else None
-
-
 def _ranks_and_radii(graphs) -> tuple[list[int], list[float]]:
     """Main-eigenvalue counts and spectral radii of same-order graphs, from
     one adjacency stack, which is freed on return."""
@@ -372,8 +360,6 @@ def main_spectrum_reports(graphs) -> list[MainSpectrumReport]:
                 regular=len(set(d)) == 1,
                 main_count=k,
                 two_walk=tw,
-                harmonic_delta=_harmonic_delta(d, tw),
-                main_values=main_values(tw) if tw is not None else None,
                 spectral_radius=rho,
             )
         )

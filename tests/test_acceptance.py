@@ -75,7 +75,7 @@ def test_criterion_1_table_reproduction(census_run):
 
     for r in nonreg:
         disc16 = 16 + r.beta
-        got = r.main_values.exact_strings()
+        got = r.two_walk.exact_strings()
         if r.beta == 0:  # disc16 = 16: integral roots 8 and 0
             assert got == ("8", "0")
         else:
@@ -161,8 +161,8 @@ def test_criterion_5_harmonic_fixtures(connected_n_le_8, connected_n_le_8_report
     for lam in range(2, 7):
         rep = analyze(t_lambda_tree(lam))
         assert rep.harmonic_delta == lam
-        assert rep.main_values.exact_strings() == (str(lam), "0")
-        assert abs(rep.main_values.floats()[0] - rep.spectral_radius) < 1e-9
+        assert rep.two_walk.exact_strings() == (str(lam), "0")
+        assert abs(rep.two_walk.floats()[0] - rep.spectral_radius) < 1e-9
 
     two_harmonic = [
         g for g, rep in zip(connected_n_le_8, connected_n_le_8_reports) if rep.harmonic_delta == 2

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from math import comb
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -155,10 +156,7 @@ def _fake_pool(monkeypatch, max_jobs):
             assert len(jobs) <= max_jobs
             return [fn(job) for job in jobs]
 
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(census, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(census, "Pool", FakePool)
     return pools
 
 
@@ -228,8 +226,8 @@ def test_compare_self_roundtrip():
         ReferenceRow(
             alpha=r.alpha,
             beta=r.beta,
-            mu0=r.main_values.exact_strings()[0],
-            mu1=r.main_values.exact_strings()[1],
+            mu0=r.two_walk.exact_strings()[0],
+            mu1=r.two_walk.exact_strings()[1],
             valencies=r.valencies,
             count=r.count,
         )
@@ -381,6 +379,15 @@ def test_census_workers_byte_identical_and_verified():
     assert table.to_csv() == (results / "census_all_subsets.csv").read_text()
     assert table.verification["seidel_members_checked"] == 1 << 16
     assert "verification" in table.to_json()
+
+
+def test_census_needs_no_fork(monkeypatch):
+    # workers started by spawn inherit nothing from this process
+    base = symplectic_graph(2)
+    one = census_table(base, Convention.ALL_SUBSETS, workers=1)
+    monkeypatch.setattr(census, "Pool", get_context("spawn").Pool)
+    two = census_table(base, Convention.ALL_SUBSETS, workers=2)
+    assert two.to_json() == one.to_json()
 
 
 @pytest.mark.parametrize(

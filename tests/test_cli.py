@@ -265,6 +265,57 @@ def test_census_json_reports_verification(capsys, tmp_path):
     }
 
 
+# P4, K1,3, C4 and t_2(2): the report lines of analyze, key order included
+SHAPE_GRAPH6 = "Ch\nCF\nCr\nFsO__\n"
+SHAPE_JSON = [
+    '{"n": 4, "edges": 3, "connected": true, "regular": false, "main_count": 2, '
+    '"two_walk": {"alpha": 1, "beta": 1}, "harmonic_delta": null, "main_values": '
+    '{"alpha": 1, "beta": 1, "mu0": "(1+sqrt(5))/2", "mu1": "(1-sqrt(5))/2", '
+    '"mu0_float": 1.618033988749895, "mu1_float": -0.6180339887498949}, '
+    '"spectral_radius": 1.6180339887498951}',
+    '{"n": 4, "edges": 3, "connected": true, "regular": false, "main_count": 2, '
+    '"two_walk": {"alpha": 0, "beta": 3}, "harmonic_delta": null, "main_values": '
+    '{"alpha": 0, "beta": 3, "mu0": "0+sqrt(3)", "mu1": "0-sqrt(3)", '
+    '"mu0_float": 1.7320508075688772, "mu1_float": -1.7320508075688772}, '
+    '"spectral_radius": 1.7320508075688772}',
+    '{"n": 4, "edges": 4, "connected": true, "regular": true, "main_count": 1, '
+    '"two_walk": null, "harmonic_delta": 2, "main_values": null, "spectral_radius": 2.0}',
+    '{"n": 7, "edges": 6, "connected": true, "regular": false, "main_count": 2, '
+    '"two_walk": {"alpha": 2, "beta": 0}, "harmonic_delta": 2, "main_values": '
+    '{"alpha": 2, "beta": 0, "mu0": "2", "mu1": "0", "mu0_float": 2.0, "mu1_float": 0.0}, '
+    '"spectral_radius": 2.0000000000000004}',
+]
+SHAPE_CSV = [
+    "n,edges,connected,regular,main_count,alpha,beta,harmonic_delta",
+    "4,3,True,False,2,1,1,",
+    "4,3,True,False,2,0,3,",
+    "4,4,True,True,1,,,2",
+    "7,6,True,False,2,2,0,2",
+]
+SP4_ROW = (
+    '{"kind": "nonregular", "alpha": "8", "beta": "-5", "main_values": '
+    '{"alpha": 8, "beta": -5, "mu0": "4+sqrt(11)", "mu1": "4-sqrt(11)", '
+    '"mu0_float": 7.3166247903554, "mu1_float": 0.6833752096446002}, '
+    '"valencies": "3^1,5^3,7^8,9^4", "connected": true, "count": 2880, '
+    '"representative_subset": 11}'
+)
+
+
+@pytest.mark.parametrize("fmt, lines", [("json", SHAPE_JSON), ("csv", SHAPE_CSV)])
+def test_analyze_output_shape(capsys, tmp_path, fmt, lines):
+    inputs = tmp_path / "shape.g6"
+    inputs.write_text(SHAPE_GRAPH6)
+    code = main(["analyze", "--format", fmt, str(inputs)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_census_json_row_shape(capsys):
+    assert main(["census", "--r", "2", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count(SP4_ROW) == 1
+
+
 def _one_line_error(capsys, argv, code):
     assert main(argv) == code
     captured = capsys.readouterr()

@@ -22,6 +22,7 @@ from mainspectra import linalg
 from mainspectra.equitable import _refine
 from mainspectra.linalg import (
     cluster_floats,
+    extract_integer_roots,
     poly_derivative,
     poly_eval,
     poly_mul,
@@ -514,3 +515,13 @@ def test_float_eigs_near_char_poly_roots(seed):
 def test_derivative():
     assert poly_derivative((5, 3, 2)) == (3, 4)
     assert poly_derivative((7,)) == ()
+
+
+def test_extract_integer_roots_peels_multiplicities():
+    p = poly_mul(poly_mul(poly_mul((-3, 1), (-3, 1)), (1, 1)), (1, 0, 1))
+    assert extract_integer_roots(p, range(-5, 6)) == ([(3, 2), (-1, 1)], (1, 0, 1))
+    # a root outside the candidates stays in the residual factor
+    assert extract_integer_roots(p, range(-5, 3)) == ([(-1, 1)], (9, -6, 10, -6, 1))
+    # the rational root 1/2 is no integer root
+    q = poly_mul(poly_mul((-1, 2), (0, 1)), (-1, 1))
+    assert extract_integer_roots(q, range(-3, 4)) == ([(1, 1), (0, 1)], (-1, 2))

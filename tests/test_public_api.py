@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "Graph",
     "Graph6Error",
     "MainSpectrumReport",
-    "QuadraticPair",
     "RealizationError",
     "SeidelReport",
     "SpliceError",
@@ -44,7 +43,6 @@ PUBLIC_NAMES = [
     "is_connected",
     "is_equitable",
     "main_spectrum_reports",
-    "main_values",
     "parse_graph6",
     "parse_graph6_lines",
     "path",

@@ -23,7 +23,6 @@ from mainspectra import (
     degree_vector,
     graph_from_edges,
     main_spectrum_reports,
-    main_values,
     path,
     seidel_matrix,
     sp_component,
@@ -34,7 +33,7 @@ from mainspectra import (
     two_walk_params,
 )
 from mainspectra.seidel import switch_mask
-from mainspectra.spectrum import QuadraticPair, TwoWalkParams
+from mainspectra.spectrum import TwoWalkParams
 
 from conftest import graphs
 from oracles import (
@@ -288,22 +287,22 @@ def test_two_walk_params_examples():
 
 
 def test_main_values_examples():
-    mv = main_values(TwoWalkParams(Fraction(0), Fraction(3)))
-    assert mv.floats() == pytest.approx((math.sqrt(3), -math.sqrt(3)))
-    mv = main_values(TwoWalkParams(Fraction(8), Fraction(0)))
-    assert mv.exact_strings() == ("8", "0")
-    mv = main_values(TwoWalkParams(Fraction(2), Fraction(4)))
-    assert mv.floats() == pytest.approx((1 + math.sqrt(5), 1 - math.sqrt(5)))
+    tw = TwoWalkParams(Fraction(0), Fraction(3))
+    assert tw.floats() == pytest.approx((math.sqrt(3), -math.sqrt(3)))
+    tw = TwoWalkParams(Fraction(8), Fraction(0))
+    assert tw.exact_strings() == ("8", "0")
+    tw = TwoWalkParams(Fraction(2), Fraction(4))
+    assert tw.floats() == pytest.approx((1 + math.sqrt(5), 1 - math.sqrt(5)))
     with pytest.raises(ValueError):
-        main_values(TwoWalkParams(Fraction(0), Fraction(-1)))
+        TwoWalkParams(Fraction(0), Fraction(-1))
 
 
 def test_exact_strings_forms():
-    assert QuadraticPair(Fraction(8), Fraction(7)).exact_strings() == (
+    assert TwoWalkParams(Fraction(8), Fraction(7)).exact_strings() == (
         "4+sqrt(23)",
         "4-sqrt(23)",
     )
-    assert QuadraticPair(Fraction(1), Fraction(1)).exact_strings() == (
+    assert TwoWalkParams(Fraction(1), Fraction(1)).exact_strings() == (
         "(1+sqrt(5))/2",
         "(1-sqrt(5))/2",
     )
@@ -345,7 +344,7 @@ def test_analyze_t2():
     assert rep.main_count == 2
     assert rep.two_walk == TwoWalkParams(Fraction(2), Fraction(0))
     assert rep.harmonic_delta == 2
-    assert rep.main_values.exact_strings() == ("2", "0")
+    assert rep.two_walk.exact_strings() == ("2", "0")
     assert rep.spectral_radius == pytest.approx(2.0)
     assert not rep.regular and rep.connected
 
@@ -354,13 +353,13 @@ def test_analyze_cone_c4():
     rep = analyze(cone(cycle(4)))
     assert rep.main_count == 2
     assert rep.two_walk == TwoWalkParams(Fraction(2), Fraction(4))
-    assert rep.main_values.floats() == pytest.approx((1 + math.sqrt(5), 1 - math.sqrt(5)))
+    assert rep.two_walk.floats() == pytest.approx((1 + math.sqrt(5), 1 - math.sqrt(5)))
 
 
 def test_analyze_regular():
     rep = analyze(cycle(5))
     assert rep.regular and rep.main_count == 1
-    assert rep.two_walk is None and rep.main_values is None
+    assert rep.two_walk is None
     assert rep.harmonic_delta == 2
 
 
@@ -416,7 +415,7 @@ def test_t_lambda_reports():
     for lam in (2, 3, 4):
         rep = analyze(t_lambda_tree(lam))
         assert rep.harmonic_delta == lam
-        assert rep.main_values.exact_strings() == (str(lam), "0")
+        assert rep.two_walk.exact_strings() == (str(lam), "0")
         assert rep.spectral_radius == pytest.approx(lam, abs=1e-9)
 
 
@@ -447,7 +446,7 @@ def test_mu0_is_spectral_radius_when_connected(g):
     tw = two_walk_params(g)
     if tw is None or not is_connected(g):
         return
-    mu0, _ = main_values(tw).floats()
+    mu0, _ = tw.floats()
     rho = max(np.linalg.eigvalsh(np.array(g.adjacency_matrix(), dtype=float)))
     assert abs(mu0 - rho) < 1e-9
 
