@@ -30,8 +30,11 @@ PYTHONPATH=src) and writes into OUT_DIR:
              --audit without --reference, --r 10^12 (4^r vertices), --r 40
              under a cap above sys.maxsize and --r 20 under a cap of 10^18
              (a graph larger than memory)
-  construct/ construct --format json for every recipe, symplectic with
-             --r 10^12, and symplectic --r 20 under a cap of 10^18
+  construct/ construct --format json for every recipe (biregular on a
+             pair whose high block steps past q22 + 1, splice-chain on a
+             seed whose chain falls back to the fresh cross edge),
+             symplectic with --r 10^12, and symplectic --r 20 under a cap
+             of 10^18
   inputs/    the input graphs of those census bases, cone and splice-chain
   large/     the large-exact inputs of perfbench/run.py --setup-only for
              two seeds, and analyze on them as that workload runs it
@@ -182,10 +185,13 @@ def census_outputs(out: Path, inputs: Path) -> None:
 def construct_outputs(out: Path, inputs: Path) -> None:
     (inputs / "c5.g6").write_text("Dhc\n")
     (inputs / "cone_c4.g6").write_text("Dl{\n")  # the cone over C4, hub at 4
+    (inputs / "diamond.g6").write_text("C^\n")
     recipes = {f"t-lambda.{lam}": ["t-lambda", "--lam", str(lam)] for lam in range(2, 7)}
     recipes["cone.c5"] = ["cone", str(inputs / "c5.g6")]
-    # the last pair is on the boundary: exit 1 with the impossibility certificate
-    for alpha, beta in ((0, 2), (1, 1), (2, 1), (3, 0), (4, -2), (8, -9), (10, 5), (2, 0)):
+    # (3, 1) steps its high block to q22 + 2 vertices; the last pair is on
+    # the boundary: exit 1 with the impossibility certificate
+    for alpha, beta in ((0, 2), (1, 1), (2, 1), (3, 0), (3, 1), (4, -2), (8, -9), (10, 5),
+                        (2, 0)):
         recipes[f"biregular.{alpha}.{beta}"] = ["biregular", "--alpha", str(alpha),
                                                 "--beta", str(beta)]
     for alpha in (4, 6, 8, 10):
@@ -196,6 +202,9 @@ def construct_outputs(out: Path, inputs: Path) -> None:
     for k in (1, 2, 3, 5):
         recipes[f"splice-chain.{k}"] = ["splice-chain", str(inputs / "cone_c4.g6"),
                                         "--edge", "4,0", "--k", str(k)]
+    # the diamond K4 - e: every step falls back to the fresh cross edge
+    recipes["splice-chain.fallback"] = ["splice-chain", str(inputs / "diamond.g6"),
+                                        "--edge", "2,3", "--k", "3"]
     for name, argv in recipes.items():
         run(out, name, ["construct", *argv, "--format", "json"])
     run(out, "symplectic.out-of-memory", ["construct", "symplectic", "--r", "20"],

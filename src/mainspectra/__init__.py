@@ -16,7 +16,6 @@ from .constructions import (
     BoundaryPairError,
     RealizationError,
     SpliceError,
-    SpliceSpec,
     boundary_impossibility,
     cone_over_regular,
     equitable_biregular_from,

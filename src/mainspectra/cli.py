@@ -16,8 +16,9 @@ structure its switching class forces; 4 when one of the program's own
 self-checks fails (the walk rank and the two-walk test disagree,
 char_polys' check prime disagrees, the walk-rank certificate runs out of
 primes or meets four unlucky primes, a Seidel spectrum forces adjacency
-eigenvalues that are not algebraic integers, or a census base's Seidel
-polynomial disagrees with its exact power sums).
+eigenvalues that are not algebraic integers, a census base's Seidel
+polynomial disagrees with its exact power sums, or a construction fails
+its own post-validation).
 Errors are reported as one line on stderr, without a traceback.
 """
 

@@ -5,8 +5,9 @@ equitable biregular realizations for every feasible integer (alpha, beta),
 the three-valenced witnesses on the boundary alpha^2 + 4 beta = 4, and the
 edge-splice operation that grows infinite families with fixed parameters.
 
-Every constructor post-validates its output exactly; a validation failure
-raises RealizationError and means a bug, never bad input.
+The biregular, three-valenced and splice constructions post-validate
+their output exactly; a validation failure raises RealizationError and
+means a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .graphs import CAP_ENV_VAR, _check_vertex_count, vertex_cap
 from .spectrum import TwoWalkParams, two_walk_params
 
 
-class RealizationError(RuntimeError):
+class RealizationError(AssertionError):
     """A constructed graph failed its own post-validation."""
 
 
@@ -40,13 +41,6 @@ class BoundaryPairError(ValueError):
 # symplectic graphs
 
 
-def _pair_swap_mask(width: int) -> tuple[int, int]:
-    odd = 0
-    for i in range(0, width, 2):
-        odd |= 1 << i
-    return odd, odd << 1
-
-
 def symplectic_graph(r: int) -> Graph:
     """Graph on all of GF(2)^(2r): u ~ v iff the standard symplectic form is 1.
 
@@ -64,7 +58,8 @@ def symplectic_graph(r: int) -> Graph:
         )
     n = 1 << width
     _check_vertex_count(n)
-    lo_mask, hi_mask = _pair_swap_mask(width)
+    lo_mask = (n - 1) // 3  # 0b0101...01: the even coordinates
+    hi_mask = lo_mask << 1
     rows = [0] * n
     for v in range(n):
         swapped = ((v & lo_mask) << 1) | ((v & hi_mask) >> 1)
@@ -110,14 +105,6 @@ def _circulant_connections(nv: int, degree: int) -> tuple[int, ...]:
     return tuple(range(1, (degree - 1) // 2 + 1)) + (nv // 2,)
 
 
-def _circulant_connected(nv: int, degree: int) -> bool:
-    if degree == 0:
-        return nv == 1
-    if degree == 1:
-        return nv == 2
-    return True  # generator 1 is in the connection set
-
-
 def _circulant_edges(offset: int, nv: int, degree: int) -> list[tuple[int, int]]:
     conns = _circulant_connections(nv, degree)
     edges = []
@@ -140,6 +127,12 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
     part: n2 * q21 vertices carrying a q11-regular circulant, one neighbour
     each in the high part; high part: n2 vertices carrying a q22-regular
     circulant, q21 join-neighbours each.
+
+    n2 = q22 + 1, the fewest vertices a q22-regular graph takes, plus one
+    exactly when q22 is even and q11 q21 odd, the one case where n1 q11 is
+    odd at q22 + 1.  Then n2 q22 and n1 q11 are even, n1 >= n2 > q22 >= q11,
+    and the high circulant is connected (q22 >= 2 when n2 = q22 + 2, so
+    generator 1 is in its connection set), which connects the graph.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
@@ -153,20 +146,8 @@ def equitable_biregular_from(alpha: int, beta: int) -> Graph:
         raise AssertionError(f"quotient for ({alpha}, {beta}) has no edge between its blocks")
     if q11 == 0 and q22 == 0:
         return _validated(star(q21 + 1), f"({alpha}, {beta}) realization", 2, alpha, beta)
-    n2 = q22 + 1
-    while True:
-        n1 = n2 * q21
-        ok = (
-            n2 * q22 % 2 == 0
-            and n1 > q11
-            and n1 * q11 % 2 == 0
-            and (q11 > 1 or _circulant_connected(n2, q22))
-        )
-        if ok:
-            break
-        n2 += 1
-        if n2 > q22 + 64:
-            raise RealizationError(f"no feasible block size for ({alpha}, {beta})")
+    n2 = q22 + 1 + (q22 % 2 == 0 and q11 * q21 % 2 == 1)
+    n1 = n2 * q21
     _check_vertex_count(n1 + n2)
     edges = _circulant_edges(0, n1, q11)
     edges += _circulant_edges(n1, n2, q22)
@@ -256,9 +237,7 @@ def three_valenced_boundary(alpha: int) -> Graph:
     a1 = alpha // 2
     beta = 1 - alpha * alpha // 4
     internal = a1 - 1
-    n3 = internal + 1
-    while n3 * internal % 2:
-        n3 += 1
+    n3 = a1  # a1 (a1 - 1) is even, so the internal circulant exists
     n12 = 3 * n3
     _check_vertex_count(2 * n12 + n3)
     edges = _circulant_edges(0, n12, internal)
@@ -275,18 +254,7 @@ def three_valenced_boundary(alpha: int) -> Graph:
 
 
 class SpliceError(ValueError):
-    """Invalid splice specification."""
-
-
-@dataclass(frozen=True)
-class SpliceSpec:
-    """Degree-matched edges e = (x, y) in g and f = (u, v) in h with
-    deg(x) = deg(u), deg(y) = deg(v), and both g - e and h - f connected."""
-
-    g: Graph
-    e: tuple[int, int]
-    h: Graph
-    f: tuple[int, int]
+    """Invalid splice arguments."""
 
 
 def _without_edge(g: Graph, u: int, v: int) -> Graph:
@@ -306,15 +274,18 @@ def _check_splice_side(g: Graph, edge, name: str) -> None:
         raise SpliceError(f"{name}: removing ({x}, {y}) disconnects the graph")
 
 
-def splice(spec: SpliceSpec) -> Graph:
+def splice(g: Graph, e: tuple[int, int], h: Graph, f: tuple[int, int]) -> Graph:
     """Swap the matched edges across the disjoint union: xy, uv -> xv, yu.
 
-    Preserves every degree and the two-walk parameters; the result is
-    connected and non-regular.
+    Needs an edge e = (x, y) of g and f = (u, v) of h with deg(x) = deg(u)
+    and deg(y) = deg(v), both g - e and h - f connected, and g and h
+    non-regular with the same two-walk parameters; SpliceError names the
+    first that fails.  Preserves every degree and the two-walk parameters;
+    the result is connected and non-regular.
     """
-    g, (x, y), h, (u, v) = spec.g, spec.e, spec.h, spec.f
-    _check_splice_side(g, (x, y), "first graph")
-    _check_splice_side(h, (u, v), "second graph")
+    (x, y), (u, v) = e, f
+    _check_splice_side(g, e, "first graph")
+    _check_splice_side(h, f, "second graph")
     if g.degree(x) != h.degree(u) or g.degree(y) != h.degree(v):
         raise SpliceError(
             f"degree mismatch: ({g.degree(x)}, {g.degree(y)}) vs "
@@ -387,7 +358,7 @@ def splice_chain(g: Graph, edge: tuple[int, int], k: int) -> SpliceChainResult:
     log = []
     for _ in range(k - 1):
         off = chain.n
-        chain = splice(SpliceSpec(chain, designated, g, edge))
+        chain = splice(chain, designated, g, edge)
         added = ((designated[0], y + off), (designated[1], x + off))
         log.append((designated, (x + off, y + off), added))
         designated = _next_designated(chain, off, g, dx, dy, (x + off, designated[1]))

@@ -1,8 +1,9 @@
-"""Exact integer/rational linear algebra plus a float cross-check channel.
+"""Exact integer/rational linear algebra.
 
 Every classification decision in this package (ranks, characteristic
-polynomials, integer roots, divisibility) runs in exact arithmetic;
-floating-point eigenvalues exist only for reports and cross-checks.
+polynomials, integer roots, divisibility) runs in exact arithmetic; the
+float64 products of the modular kernels stay below 2^53, and
+`cluster_floats` only groups the float eigenvalues a report prints.
 
 Polynomials are tuples of arbitrary-precision coefficients in ascending
 order of degree, trimmed of trailing zeros; () is the zero polynomial.
@@ -295,13 +296,6 @@ def poly_mul(p, q) -> Poly:
 def poly_derivative(p) -> Poly:
     p = poly_trim(p)
     return poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(poly_trim(p)):
-        acc = acc * x + c
-    return acc
 
 
 def poly_content(p) -> int:

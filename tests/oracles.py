@@ -4,6 +4,7 @@ check the package against them.
 - quotient_matrix: the averaged neighbour counts between blocks, as
   Fractions, for any partition.
 - poly_pow: repeated multiplication.
+- poly_eval: Horner's rule.
 - non_main_factor_from_spectrum: the non-main factor of a regular
   two-graph with odd integral Seidel spectrum, from theta_i = (-1 - rho_i)/2
   one eigenvalue at a time; the reference of `seidel.non_main_factor`.
@@ -17,6 +18,9 @@ check the package against them.
   one; the reference of the modular walk-rank kernel.
 - existence_check: which integer pairs (alpha, beta) some connected graph
   realizes.
+- biregular_block_sizes: the block sizes of `equitable_biregular_from`,
+  found by searching n2 upward from q22 + 1; the reference of its closed
+  form.
 - harmonic_delta_walk: the delta with A d = delta d from its own Fraction
   walk, independent of the two-walk test.
 - switch / enumerate_switching_class / classify_member: one member at a
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mainspectra.census import ClassificationError, Convention, _check_size
+from mainspectra.constructions import quotient_for
 from mainspectra.graphs import Graph, degree_vector, graph_from_edges, is_connected
 from mainspectra.linalg import Poly, poly_mul, poly_primitive, poly_trim
 from mainspectra.seidel import switch_mask
@@ -73,6 +78,13 @@ def poly_pow(p, e: int) -> Poly:
     for _ in range(e):
         out = poly_mul(out, p)
     return out
+
+
+def poly_eval(p, x):
+    acc = 0
+    for c in reversed(poly_trim(p)):
+        acc = acc * x + c
+    return acc
 
 
 def non_main_factor_from_spectrum(spectrum) -> Poly:
@@ -241,6 +253,34 @@ def existence_check(alpha: int, beta: int) -> bool:
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     return alpha * alpha + 4 * beta >= 4 and (alpha, beta) != (0, 1)
+
+
+def _circulant_connected(nv: int, degree: int) -> bool:
+    if degree == 0:
+        return nv == 1
+    if degree == 1:
+        return nv == 2
+    return True  # generator 1 is in the connection set
+
+
+def biregular_block_sizes(alpha: int, beta: int) -> tuple[int, int]:
+    """(n1, n2) for a feasible pair: the least n2 > q22 with n2 q22 and
+    n1 q11 even, n1 = n2 q21 > q11, and a connected high circulant when
+    q11 <= 1."""
+    (q11, _), (q21, q22) = quotient_for(alpha, beta)
+    n2 = q22 + 1
+    while True:
+        n1 = n2 * q21
+        if (
+            n2 * q22 % 2 == 0
+            and n1 > q11
+            and n1 * q11 % 2 == 0
+            and (q11 > 1 or _circulant_connected(n2, q22))
+        ):
+            return n1, n2
+        n2 += 1
+        if n2 > q22 + 64:
+            raise AssertionError(f"no feasible block size for ({alpha}, {beta})")
 
 
 def harmonic_delta_walk(g: Graph) -> Fraction | None:

@@ -18,7 +18,7 @@ from mainspectra import (
     valency_partition,
     write_graph6,
 )
-from mainspectra import census, cli
+from mainspectra import census, cli, constructions
 from mainspectra.cli import ANALYZE_CHUNK, main
 from mainspectra.equitable import _refine
 
@@ -475,6 +475,14 @@ def test_census_base_polynomial_self_check_exits_4(capsys, monkeypatch):
         "mainspectra census: self-check failed: base's Seidel characteristic polynomial "
         "disagrees with its power sum p_4\n"
     )
+
+
+def test_failed_construction_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "two_walk_params", lambda g: None)
+    err = _one_line_error(capsys, ["construct", "biregular", "--alpha", "1", "--beta", "1"],
+                          cli.EXIT_SELF_CHECK)
+    assert err == ("mainspectra construct: self-check failed: "
+                   "(1, 1) realization has parameters None\n")
 
 
 HEADER = "alpha,beta,mu0,mu1,valencies,count\n"

@@ -5,7 +5,6 @@ import pytest
 from mainspectra import (
     BoundaryPairError,
     SpliceError,
-    SpliceSpec,
     analyze,
     boundary_impossibility,
     cone_over_regular,
@@ -17,6 +16,7 @@ from mainspectra import (
     graph_from_edges,
     is_connected,
     is_equitable,
+    parse_graph6,
     sp_component,
     splice,
     splice_chain,
@@ -30,7 +30,7 @@ from mainspectra import (
 from mainspectra.constructions import quotient_for
 from mainspectra.spectrum import TwoWalkParams
 
-from oracles import classify_member, quotient_matrix
+from oracles import biregular_block_sizes, classify_member, quotient_matrix
 
 
 def tw(alpha, beta):
@@ -117,6 +117,20 @@ def test_biregular_8_minus9():
     assert two_walk_params(g) == tw(8, -9)
 
 
+def test_biregular_order_matches_the_block_size_search(monkeypatch):
+    # every feasible pair with alpha <= 12 and beta < 8; the largest has
+    # n2 = 8 (q22 = 6) and q21 = 43
+    monkeypatch.setenv("MAINSPECTRA_VERTEX_CAP", "512")
+    stepped = 0
+    for alpha in range(13):
+        for beta in range(-(alpha * alpha) // 4, 8):
+            if alpha * alpha + 4 * beta > 4:
+                n1, n2 = biregular_block_sizes(alpha, beta)
+                assert equitable_biregular_from(alpha, beta).n == n1 + n2, (alpha, beta)
+                stepped += n2 == quotient_for(alpha, beta)[1][1] + 2
+    assert stepped > 0
+
+
 def test_biregular_rejects_boundary_and_below():
     with pytest.raises(ValueError, match="boundary"):
         equitable_biregular_from(2, 0)
@@ -180,7 +194,7 @@ def cone_c4():
 
 def test_splice_double_cone():
     g = cone_c4()
-    out = splice(SpliceSpec(g, (4, 0), g, (4, 0)))
+    out = splice(g, (4, 0), g, (4, 0))
     assert out.n == 10
     assert two_walk_params(out) == tw(2, 4)
     assert sorted(degree_vector(out)) == sorted(degree_vector(g) * 2)
@@ -189,14 +203,14 @@ def test_splice_double_cone():
 
 def test_splice_rejects_bridge():
     with pytest.raises(SpliceError, match="disconnects"):
-        splice(SpliceSpec(star(4), (0, 1), star(4), (0, 1)))
+        splice(star(4), (0, 1), star(4), (0, 1))
 
 
 def test_splice_rejects_out_of_range_endpoints():
     g = cone_c4()
     for edge in ((0, 9), (9, 0), (-1, 4), (4, -1)):
         with pytest.raises(SpliceError, match=r"endpoint outside 0\.\.4"):
-            splice(SpliceSpec(g, (4, 0), g, edge))
+            splice(g, (4, 0), g, edge)
         with pytest.raises(SpliceError, match=r"endpoint outside 0\.\.4"):
             splice_chain(g, edge, 2)
 
@@ -204,7 +218,7 @@ def test_splice_rejects_out_of_range_endpoints():
 def test_splice_rejects_degree_mismatch():
     g = cone_c4()
     with pytest.raises(SpliceError, match="degree mismatch"):
-        splice(SpliceSpec(g, (4, 0), g, (0, 1)))
+        splice(g, (4, 0), g, (0, 1))
 
 
 def test_splice_rejects_parameter_mismatch():
@@ -213,12 +227,12 @@ def test_splice_rejects_parameter_mismatch():
     h = cone_over_regular(cycle(6))
     assert two_walk_params(h) == tw(2, 6)
     with pytest.raises(SpliceError, match="parameter mismatch"):
-        splice(SpliceSpec(g, (0, 1), h, (0, 1)))
+        splice(g, (0, 1), h, (0, 1))
 
 
 def test_splice_rejects_regular_inputs():
     with pytest.raises(SpliceError, match="non-regular"):
-        splice(SpliceSpec(cycle(5), (0, 1), cycle(5), (0, 1)))
+        splice(cycle(5), (0, 1), cycle(5), (0, 1))
 
 
 def test_splice_chain_members():
@@ -229,6 +243,21 @@ def test_splice_chain_members():
     assert res3.graph.n == 15
     assert two_walk_params(res3.graph) == tw(2, 4)
     assert len(res3.splice_log) == 2
+
+
+def test_splice_chain_falls_back_to_the_cross_edge():
+    # the diamond K4 - e: its one (3, 3) edge is the middle edge, which each
+    # step removes from the new copy, so each step falls back
+    g = parse_graph6("C^")
+    res = splice_chain(g, (2, 3), 3)
+    assert res.designated_edge == (10, 3)
+    assert res.splice_log == (
+        ((2, 3), (6, 7), ((2, 7), (3, 6))),
+        ((6, 3), (10, 11), ((6, 11), (3, 10))),
+    )
+    assert is_connected(res.graph)
+    assert sorted(degree_vector(res.graph)) == sorted(degree_vector(g) * 3)
+    assert two_walk_params(res.graph) == tw(1, 4)
 
 
 def test_splice_chain_diameters_increase():
@@ -243,7 +272,7 @@ def test_harmonic_splice_stays_harmonic():
     h = equitable_biregular_from(3, 0)
     assert analyze(h).harmonic_delta == 3
     edge = next((a, b) for a, b in h.edges() if is_connected_without(h, a, b))
-    out = splice(SpliceSpec(h, edge, h, edge))
+    out = splice(h, edge, h, edge)
     assert analyze(out).harmonic_delta == 3
     assert two_walk_params(out) == tw(3, 0)
 
@@ -276,6 +305,6 @@ def test_splice_two_census_members():
                 return (a, b)
         raise AssertionError("no splice edge")
 
-    out = splice(SpliceSpec(g, pick_edge(g), h, pick_edge(h)))
+    out = splice(g, pick_edge(g), h, pick_edge(h))
     assert out.n == 32
     assert two_walk_params(out) == tw(8, -9)

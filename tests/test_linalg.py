@@ -24,7 +24,6 @@ from mainspectra.linalg import (
     cluster_floats,
     extract_integer_roots,
     poly_derivative,
-    poly_eval,
     poly_mul,
     poly_primitive,
     poly_trim,
@@ -32,7 +31,7 @@ from mainspectra.linalg import (
 )
 from mainspectra.seidel import switch_mask
 
-from oracles import poly_divides, poly_gcd, poly_pow, quotient_matrix, rank_exact
+from oracles import poly_divides, poly_eval, poly_gcd, poly_pow, quotient_matrix, rank_exact
 
 
 # -- oracles -----------------------------------------------------------------

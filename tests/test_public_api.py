@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "RealizationError",
     "SeidelReport",
     "SpliceError",
-    "SpliceSpec",
     "TwoWalkParams",
     "analyze",
     "boundary_impossibility",
