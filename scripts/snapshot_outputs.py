@@ -26,10 +26,8 @@ PYTHONPATH=src) and writes into OUT_DIR:
              path P4, whose class is not a regular two-graph and holds
              members with more than two main eigenvalues;
              census --reference on four malformed reference CSVs (the
-             last repeats a row),
-             --audit without --reference, --r 10^12 (4^r vertices), --r 40
-             under a cap above sys.maxsize and --r 20 under a cap of 10^18
-             (a graph larger than memory)
+             last repeats a row), --audit without --reference, and census
+             under a cap above sys.maxsize
   construct/ construct --format json for every recipe (biregular on a
              pair whose high block steps past q22 + 1, splice-chain on a
              seed whose chain falls back to the fresh cross edge),
@@ -174,12 +172,9 @@ def census_outputs(out: Path, inputs: Path) -> None:
         reference.write_text(text)
         run(out, f"reference.{name}", ["census", "--reference", str(reference)])
     run(out, "audit-without-reference",
-        ["census", "--r", "1", "--audit", str(inputs / "unwritten.audit.json")])
-    run(out, "huge-r", ["census", "--r", str(10**12)])
-    run(out, "huge-cap", ["census", "--r", "40"], preexec_fn=limit_address_space,
+        ["census", "--audit", str(inputs / "unwritten.audit.json")])
+    run(out, "huge-cap", ["census"], preexec_fn=limit_address_space,
         MAINSPECTRA_VERTEX_CAP=str(10**30))
-    run(out, "out-of-memory", ["census", "--r", "20"], preexec_fn=limit_address_space,
-        MAINSPECTRA_VERTEX_CAP=str(10**18))
 
 
 def construct_outputs(out: Path, inputs: Path) -> None:

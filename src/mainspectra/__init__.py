@@ -30,15 +30,13 @@ from .equitable import (
     is_equitable,
     valency_partition,
 )
-from .graph6 import Graph6Error, parse_graph6, parse_graph6_lines, write_graph6
+from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
     Graph,
-    circulant,
     complete,
     cone,
     cycle,
     degree_vector,
-    diameter,
     graph_from_adjacency_text,
     graph_from_edges,
     induced_subgraph,

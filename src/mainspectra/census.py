@@ -36,8 +36,9 @@ import numpy as np
 
 from .graph6 import write_graph6
 from .graphs import Graph, degree_vector, induced_subgraph, is_connected
-from .linalg import Poly, char_poly, char_polys, distinct_root_count, poly_mul
+from .linalg import Poly, char_polys, distinct_root_count, poly_mul
 from .seidel import (
+    SeidelReport,
     non_main_factor,
     seidel_matrix,
     seidel_report,
@@ -120,6 +121,18 @@ def _check_base_power_sums(seidel: np.ndarray, seidel_char_poly: tuple) -> None:
             raise AssertionError(
                 f"base's Seidel characteristic polynomial disagrees with its power sum p_{k}"
             )
+
+
+def _census_setup(base: Graph, convention) -> tuple[Convention, int, int, SeidelReport]:
+    """(convention, shift, weight, the base's Seidel report) of a census of
+    base, once its size passes and its Seidel polynomial matches its power
+    sums."""
+    convention = Convention(convention)
+    _check_size(base.n)
+    shift, weight = _enumeration(convention)
+    base_rep = seidel_report(base)
+    _check_base_power_sums(seidel_matrix(base), base_rep.seidel_char_poly)
+    return convention, shift, weight, base_rep
 
 
 class _BlockKernel:
@@ -446,14 +459,10 @@ def census_table(
     all-subsets), each of whose Seidel matrices is bit-identical to one
     the kernel certified.
     """
-    convention = Convention(convention)
-    _check_size(base.n)
+    convention, shift, weight, base_rep = _census_setup(base, convention)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    shift, weight = _enumeration(convention)
     subsets = 1 << (base.n - 1)
-    base_rep = seidel_report(base)
-    _check_base_power_sums(seidel_matrix(base), base_rep.seidel_char_poly)
     base_adj = base.adjacency_matrix()
     ranges = min(workers, subsets)
     bounds = [subsets * i // ranges for i in range(ranges + 1)]
@@ -508,12 +517,8 @@ def verify_switching_invariance_exhaustive(
     where each of the 2^(n-1) matrices built stands for itself and its
     complement's bit-identical one (see `_enumeration`).
     """
-    convention = Convention(convention)
-    _check_size(base.n)
-    shift, weight = _enumeration(convention)
+    _, shift, weight, _ = _census_setup(base, convention)
     subsets = 1 << (base.n - 1)
-    seidel = seidel_matrix(base)
-    _check_base_power_sums(seidel, char_poly(seidel))
     kernel = _BlockKernel(base.adjacency_matrix(), shift)
     for subs, adj in kernel.blocks(0, subsets):
         kernel.check_similarity(adj, subs)
@@ -610,10 +615,6 @@ class AuditReport:
             "totals": self.totals,
             "rows": self.rows,
         }
-
-    @property
-    def all_match(self) -> bool:
-        return all(r["verdict"] == "match" for r in self.rows)
 
 
 def compare_to_reference(table: CensusTable, reference) -> AuditReport:

@@ -187,7 +187,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         with open(args.base) as fh:
             base = _first_graph(fh, "graph6", f"--base {args.base} holds no graph6 line")
     else:
-        base = symplectic_graph(args.r)
+        base = symplectic_graph(2)
     reference = None
     if args.reference == "bundled":
         reference = bundled_reference_rows()
@@ -248,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-format", choices=["graph6", "edges"], default="graph6")
     p.add_argument("--format", choices=["graph6", "json"], default="graph6")
 
-    p = sub.add_parser("census", help="switching-class census (default: 16-vertex symplectic)")
-    p.add_argument("--r", type=int, default=2)
+    # without abbreviations an unknown option such as --r is a usage error, not --reference
+    p = sub.add_parser("census", help="switching-class census (default: 16-vertex symplectic)",
+                       allow_abbrev=False)
     p.add_argument("--base", help="graph6 file overriding the symplectic base")
     p.add_argument(
         "--convention",

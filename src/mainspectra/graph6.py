@@ -111,8 +111,3 @@ def parse_graph6(text: str) -> Graph:
         rows[col] |= 1 << row
         pos = bits.find("1", pos + 1)
     return Graph(n, rows, _validate=False)
-
-
-def parse_graph6_lines(text: str) -> list[Graph]:
-    """Parse a newline-separated corpus, skipping blank lines."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

@@ -8,7 +8,6 @@ common-neighbour counts cheap.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -83,9 +82,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return _bits(self.rows[v])
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -149,36 +145,15 @@ def degree_vector(g: Graph) -> tuple[int, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    return _bfs_ecc(g, 0) != math.inf
-
-
-def _bfs_ecc(g: Graph, src: int) -> int | float:
-    reach = 1 << src
-    frontier = reach
-    dist = 0
-    while True:
+    """Whether a BFS from vertex 0 reaches every vertex."""
+    reach = frontier = 1
+    while frontier:
         new = 0
         for v in _bits(frontier):
             new |= g.rows[v]
         frontier = new & ~reach
-        if not frontier:
-            break
         reach |= frontier
-        dist += 1
-    if reach != (1 << g.n) - 1:
-        return math.inf
-    return dist
-
-
-def diameter(g: Graph) -> int | float:
-    """Exact diameter by all-sources BFS; ``math.inf`` when disconnected."""
-    best = 0
-    for v in range(g.n):
-        ecc = _bfs_ecc(g, v)
-        if ecc == math.inf:
-            return math.inf
-        best = max(best, ecc)
-    return best
+    return reach == (1 << g.n) - 1
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -220,19 +195,6 @@ def star(n: int) -> Graph:
 def path(n: int) -> Graph:
     _check_vertex_count(n)
     return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def circulant(n: int, connections: Iterable[int]) -> Graph:
-    _check_vertex_count(n)
-    conns = sorted(set(connections))
-    for s in conns:
-        if not 1 <= s <= n // 2:
-            raise ValueError(f"connection {s} outside 1..{n // 2}")
-    edges = []
-    for v in range(n):
-        for s in conns:
-            edges.append((v, (v + s) % n))
-    return graph_from_edges(n, edges)
 
 
 def t_lambda_tree(lam: int) -> Graph:

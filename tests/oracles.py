@@ -26,6 +26,9 @@ check the package against them.
 - switch / enumerate_switching_class / classify_member: one member at a
   time, on bitset graphs; the census kernel's reference.
 - relabel: a graph under a vertex permutation, for invariance tests.
+- neighbours / diameter / circulant: the set bits of a row, the exact
+  diameter by a BFS from every vertex, and the circulant graph on given
+  connections; graph helpers that the package itself does not need.
 """
 
 from __future__ import annotations
@@ -211,7 +214,7 @@ def rank_exact(mat) -> int:
 
 
 def _apply_adjacency(g: Graph, vec) -> list[int]:
-    return [sum(vec[u] for u in g.neighbors(v)) for v in range(g.n)]
+    return [sum(vec[u] for u in neighbours(g, v)) for v in range(g.n)]
 
 
 def walk_matrix(g: Graph) -> list[list[int]]:
@@ -338,3 +341,43 @@ def relabel(g: Graph, perm) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of the vertex set")
     return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def neighbours(g: Graph, v: int) -> list[int]:
+    """The set bits of g.rows[v], lowest first."""
+    row, out = g.rows[v], []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def diameter(g: Graph) -> int | float:
+    """Exact diameter by a BFS from every vertex; ``math.inf`` when disconnected."""
+    best = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in neighbours(g, v):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        if len(dist) < g.n:
+            return math.inf
+        best = max(best, max(dist.values()))
+    return best
+
+
+def circulant(n: int, connections) -> Graph:
+    """The circulant graph on n vertices, v ~ v + s for each connection s;
+    the vertex count is checked before any edge is built."""
+    conns = sorted(set(connections))
+    for s in conns:
+        if not 1 <= s <= n // 2:
+            raise ValueError(f"connection {s} outside 1..{n // 2}")
+    return graph_from_edges(n, ((v, (v + s) % n) for v in range(n) for s in conns))

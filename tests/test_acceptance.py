@@ -24,7 +24,6 @@ from mainspectra import (
     cone_over_regular,
     cycle,
     degree_vector,
-    diameter,
     distinct_root_count,
     equitable_biregular_from,
     is_connected,
@@ -44,7 +43,7 @@ from mainspectra.census import valencies_str
 from mainspectra.linalg import poly_mul
 from mainspectra.seidel import switch_mask
 
-from oracles import classify_member, poly_pow, relabel
+from oracles import classify_member, diameter, poly_pow, relabel
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 

@@ -188,7 +188,9 @@ def test_construct_splice_chain_rejects_an_out_of_range_edge(capsys, tmp_path, e
             (5 * 10**8 + 1) * (25 * 10**16 + 1),
         ),
         (["boundary3", "--alpha", str(10**9)], 7 * 5 * 10**8),
-        (["symplectic", "--r", str(10**12)], f"4^{10**12}"),
+        (["symplectic", "--r", str(10**12)], f"4^{10**12}"),  # 4^r would not fit in memory
+        (["symplectic", "--r", "7"], 16384),
+        (["symplectic", "--r", "40"], 2**80),
     ],
 )
 def test_construct_checks_the_vertex_count_first(capsys, argv, n):
@@ -238,7 +240,7 @@ def test_census_workers_identical_output(capsys, tmp_path):
 def test_census_audit_file(capsys, tmp_path):
     audit_path = tmp_path / "audit.json"
     code = main(
-        ["census", "--r", "2", "--reference", "bundled", "--audit", str(audit_path)]
+        ["census", "--reference", "bundled", "--audit", str(audit_path)]
     )
     capsys.readouterr()
     assert code == 0
@@ -311,7 +313,7 @@ def test_analyze_output_shape(capsys, tmp_path, fmt, lines):
 
 
 def test_census_json_row_shape(capsys):
-    assert main(["census", "--r", "2", "--format", "json"]) == 0
+    assert main(["census", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out.count(SP4_ROW) == 1
 
@@ -326,25 +328,29 @@ def _one_line_error(capsys, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["census", "--r", "0"], "need r >= 1"),
-        (["census", "--r", "3"], "n=64 > 24"),
-        (["census", "--base", "/nonexistent/base.g6"], "No such file"),
-        # the symplectic base is refused before its rows are allocated
-        (["census", "--r", "7"], "vertex count 16384 outside 1.."),
-        (["census", "--r", "40"], f"vertex count {2**80} outside 1.."),
-        # 4^r itself would not fit in memory
-        (["census", "--r", str(10**12)], f"vertex count 4^{10**12} outside 1.."),
-    ],
+    "text, message",
+    [(write_graph6(graph_from_edges(25, [])) + "\n", "n=25 > 24"), (None, "No such file")],
+    ids=["over-24", "missing"],
 )
-def test_census_bad_input_exits_2(capsys, argv, message):
-    assert message in _one_line_error(capsys, argv, 2)
+def test_census_bad_input_exits_2(capsys, tmp_path, text, message):
+    base = tmp_path / "base.g6"
+    if text is not None:
+        base.write_text(text)
+    assert message in _one_line_error(capsys, ["census", "--base", str(base)], 2)
+
+
+def test_census_has_no_r_option(capsys):
+    # the base is --base or the default Sp(4); --r is no prefix of --reference
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--r", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mainspectra") and "unrecognized arguments: --r 2" in err
 
 
 def test_census_audit_without_reference_exits_2(capsys, tmp_path):
     audit = tmp_path / "audit.json"
-    err = _one_line_error(capsys, ["census", "--r", "1", "--audit", str(audit)], 2)
+    err = _one_line_error(capsys, ["census", "--audit", str(audit)], 2)
     assert "--audit needs --reference" in err
     assert not audit.exists()
 
@@ -369,7 +375,7 @@ MALFORMED_CAPS = {"abc": "a positive integer", "0": "a positive integer",
 @pytest.mark.parametrize(
     "argv",
     [["analyze"], ["construct", "t-lambda", "--lam", "2", "--format", "json"],
-     ["census", "--r", "1"]],
+     ["census"]],
     ids=["analyze", "construct", "census"],
 )
 def test_malformed_vertex_cap_is_one_error(capsys, monkeypatch, cap, argv):
@@ -382,7 +388,7 @@ def test_malformed_vertex_cap_is_one_error(capsys, monkeypatch, cap, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["construct", "symplectic", "--r", "20"], ["census", "--r", "20"]],
+    "argv", [["construct", "symplectic", "--r", "20"], ["census"]],
     ids=["construct", "census"],
 )
 def test_out_of_memory_is_one_error(capsys, monkeypatch, argv):
@@ -460,8 +466,10 @@ def test_failed_self_check_exits_4(capsys, tmp_path, monkeypatch, module, name, 
     assert err.startswith("mainspectra analyze: self-check failed: ") and message in err
 
 
-def test_census_base_polynomial_self_check_exits_4(capsys, monkeypatch):
+def test_census_base_polynomial_self_check_exits_4(capsys, monkeypatch, tmp_path):
     # a wrong constant term changes p_n alone among the base's power sums
+    base = tmp_path / "k1_k3.g6"
+    base.write_text("CJ\n")  # K1 + K3, the Sp(2) graph
     report = census.seidel_report
 
     def wrong_polynomial(g):
@@ -470,7 +478,7 @@ def test_census_base_polynomial_self_check_exits_4(capsys, monkeypatch):
         return rep
 
     monkeypatch.setattr(census, "seidel_report", wrong_polynomial)
-    err = _one_line_error(capsys, ["census", "--r", "1"], cli.EXIT_SELF_CHECK)
+    err = _one_line_error(capsys, ["census", "--base", str(base)], cli.EXIT_SELF_CHECK)
     assert err == (
         "mainspectra census: self-check failed: base's Seidel characteristic polynomial "
         "disagrees with its power sum p_4\n"
@@ -522,7 +530,7 @@ MALFORMED_REFERENCES = [
 def test_census_malformed_reference_exits_2(capsys, tmp_path, text, message):
     reference = tmp_path / "reference.csv"
     reference.write_text(text)
-    err = _one_line_error(capsys, ["census", "--r", "1", "--reference", str(reference)], 2)
+    err = _one_line_error(capsys, ["census", "--reference", str(reference)], 2)
     assert err == f"mainspectra census: {message}\n"
 
 

@@ -11,7 +11,6 @@ from mainspectra import (
     complete,
     cycle,
     degree_vector,
-    diameter,
     equitable_biregular_from,
     graph_from_edges,
     is_connected,
@@ -30,7 +29,7 @@ from mainspectra import (
 from mainspectra.constructions import quotient_for
 from mainspectra.spectrum import TwoWalkParams
 
-from oracles import biregular_block_sizes, classify_member, quotient_matrix
+from oracles import biregular_block_sizes, classify_member, diameter, quotient_matrix
 
 
 def tw(alpha, beta):
@@ -59,6 +58,12 @@ def test_symplectic_rejects():
         symplectic_graph(0)
     with pytest.raises(ValueError):
         symplectic_graph(4)  # 256 vertices exceeds the default cap
+
+
+def test_symplectic_names_a_huge_vertex_count():
+    # 4^r is named in the error rather than computed or built
+    with pytest.raises(ValueError, match=r"^vertex count 4\^1000000000000 outside 1\.\."):
+        symplectic_graph(10**12)
 
 
 # -- cones ----------------------------------------------------------------------

@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given
 
 from mainspectra import (
-    circulant,
     complete,
     cone,
     cycle,
     degree_vector,
-    diameter,
     graph_from_adjacency_text,
     graph_from_edges,
     induced_subgraph,
@@ -21,7 +19,7 @@ from mainspectra import (
 from mainspectra.graphs import CAP_ENV_VAR, Graph
 
 from conftest import graphs
-from oracles import relabel
+from oracles import circulant, diameter, relabel
 
 
 def test_graph_from_edges_p3():

@@ -25,14 +25,12 @@ PUBLIC_NAMES = [
     "census_table",
     "char_poly",
     "char_polys",
-    "circulant",
     "compare_to_reference",
     "complete",
     "cone",
     "cone_over_regular",
     "cycle",
     "degree_vector",
-    "diameter",
     "distinct_root_count",
     "equitable_biregular_from",
     "equitable_records",
@@ -43,7 +41,6 @@ PUBLIC_NAMES = [
     "is_equitable",
     "main_spectrum_reports",
     "parse_graph6",
-    "parse_graph6_lines",
     "path",
     "seidel_matrix",
     "seidel_report",
