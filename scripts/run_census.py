@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
-from mainspectra import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or not
+
+from mainspectra import (  # noqa: E402
     Convention,
     bundled_reference_rows,
     census_table,
@@ -32,7 +36,7 @@ from mainspectra import (
     symplectic_graph,
 )
 
-RESULTS = Path(__file__).resolve().parent.parent / "results"
+RESULTS = ROOT / "results"
 
 
 def main(argv=None) -> int:

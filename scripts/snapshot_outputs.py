@@ -25,7 +25,7 @@ PYTHONPATH=src) and writes into OUT_DIR:
              conference two-graph) under both conventions; census on the
              path P4, whose class is not a regular two-graph and holds
              members with more than two main eigenvalues;
-             census --reference on four malformed reference CSVs (the
+             census --reference on five malformed reference CSVs (the
              last repeats a row), --audit without --reference, and census
              under a cap above sys.maxsize
   construct/ construct --format json for every recipe (biregular on a
@@ -165,6 +165,7 @@ def census_outputs(out: Path, inputs: Path) -> None:
         "no-mu0": "alpha,beta,mu1,valencies,count\n" + row.replace("4+sqrt(7),", "", 1),
         "short-row": header + "8,-9,4+sqrt(7)\n",
         "bad-valencies": header + row + "8,-9,4+sqrt(7),4-sqrt(7),5,1\n",
+        "row-count": header + row.replace(",240", ",-5"),
         "duplicate-row": header + row + row,
     }
     for name, text in malformed.items():

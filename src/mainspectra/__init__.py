@@ -33,7 +33,6 @@ from .equitable import (
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
     Graph,
-    complete,
     cone,
     cycle,
     degree_vector,
@@ -41,7 +40,6 @@ from .graphs import (
     graph_from_edges,
     induced_subgraph,
     is_connected,
-    path,
     star,
     t_lambda_tree,
     vertex_cap,

@@ -563,8 +563,9 @@ _REFERENCE_COLUMNS = ("alpha", "beta", "mu0", "mu1", "valencies", "count")
 def load_reference_csv(text: str) -> list[ReferenceRow]:
     """Reference rows from CSV text with the _REFERENCE_COLUMNS.  A missing
     column, a row longer or shorter than the header, a value that does not
-    parse or a repeat of an earlier row's key (alpha, beta, valencies), which
-    compare_to_reference would overwrite, raises ValueError naming its line."""
+    parse, a count below 1 or a repeat of an earlier row's key (alpha, beta,
+    valencies), which compare_to_reference would overwrite, raises
+    ValueError naming its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
@@ -585,6 +586,8 @@ def load_reference_csv(text: str) -> list[ReferenceRow]:
             )
         except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") divides
             raise ValueError(f"{where}: value does not parse ({exc})") from None
+        if row.count < 1:
+            raise ValueError(f"{where}: count {row.count} is below 1")
         key = (row.alpha, row.beta, row.valencies)
         if key in line_of:
             raise ValueError(f"{where}: repeats the alpha, beta, valencies of line {line_of[key]}")

@@ -171,12 +171,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 # builders
 
 
-def complete(n: int) -> Graph:
-    _check_vertex_count(n)
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
@@ -190,11 +184,6 @@ def star(n: int) -> Graph:
         raise ValueError("star needs at least one vertex")
     _check_vertex_count(n)
     return graph_from_edges(n, [(0, v) for v in range(1, n)])
-
-
-def path(n: int) -> Graph:
-    _check_vertex_count(n)
-    return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def t_lambda_tree(lam: int) -> Graph:

@@ -93,10 +93,9 @@ def _crt(residues) -> tuple[list[int], int]:
     return [x - product if x > half else x for x in lift], product
 
 
-# char_polys splits a group of same-order matrices into stacks whose three
-# float64 working buffers hold at most this many elements together; a single
-# matrix above it runs alone, its primes in groups that fit.  order_stacks
-# cuts a batch into stacks of at most this many matrix elements.
+# order_stacks cuts a batch into stacks of at most this many matrix
+# elements, and _char_poly_stack runs a stack's primes in groups whose three
+# float64 working buffers hold at most this many elements together.
 _STACK_ELEMENTS = 1 << 18
 
 
@@ -114,14 +113,15 @@ def char_polys(mats) -> list[Poly]:
 
     Faddeev-LeVerrier, M_k = A (M_(k-1) + c_(k-1) I) and c_k = -tr(M_k) / k
     from M_0 = 0, c_0 = 1, run modulo several primes p > n at once; k^-1
-    exists modulo each p.  Matrices of one order are stacked, so each step
-    is one float64 matmul over a leading batch axis and an axis of primes.
+    exists modulo each p.  The batch is cut into stacks of one order by
+    order_stacks, so each step is one float64 matmul over a leading batch
+    axis and an axis of primes.
 
     Bound: c_k is (-1)^k times the sum of the k x k principal minors of A.
     By Hadamard's inequality each minor is at most the product of the norms
     of its rows, so with r_i the Euclidean norm of row i,
     |c_k| <= e_k(r) <= prod(1 + r_i) <= B = prod(1 + ceil(r_i)).  The
-    matrices of one order share the fewest primes whose product exceeds 2B
+    matrices of one stack share the fewest primes whose product exceeds 2B
     for the largest B among them, so every matrix's coefficients are rebuilt
     uniquely by CRT in the symmetric range; one further prime must agree
     with every coefficient of every matrix, else AssertionError.
@@ -137,15 +137,13 @@ def char_polys(mats) -> list[Poly]:
     and a reduced trace times k^-1 below p^2 < 2^52.
     """
     mats = [np.asarray(mat) for mat in mats]
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(mats):
+    for a in mats:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix is not square")
         if a.dtype.kind not in "iu":
             raise ValueError(f"matrix entries are not int64 integers: dtype {a.dtype}")
-        groups.setdefault(len(a), []).append(i)
     out: list[Poly] = [()] * len(mats)
-    for n, members in groups.items():
+    for members in order_stacks([len(a) for a in mats]):
         stack = np.stack([mats[i] for i in members])
         # every entry first: np.abs of the int64 minimum is negative
         if (stack > _PRIME_TOP).any() or (stack < -_PRIME_TOP).any():
@@ -153,12 +151,9 @@ def char_polys(mats) -> list[Poly]:
         stack = stack.astype(np.int64, copy=False)
         if (np.abs(stack).sum(axis=2) > _PRIME_TOP).any():
             raise ValueError("matrix has an absolute row sum above 2^26")
-        moduli = _moduli(n, 2 * _coefficient_bound(stack))
-        size = max(1, _STACK_ELEMENTS // (3 * len(moduli) * n * n or 1))
-        for s in range(0, len(members), size):
-            polys = _char_poly_stack(stack[s:s + size], moduli)
-            for i, poly in zip(members[s:s + size], polys):
-                out[i] = poly
+        moduli = _moduli(len(stack[0]), 2 * _coefficient_bound(stack))
+        for i, poly in zip(members, _char_poly_stack(stack, moduli)):
+            out[i] = poly
     return out
 
 
@@ -181,8 +176,7 @@ def _char_poly_stack(stack: np.ndarray, moduli: list[int]) -> list[Poly]:
     """char_polys on one int64 stack (batch, n, n) of same-order matrices:
     the residues modulo every prime, one CRT lift of them all, the check prime.
 
-    The primes run in groups whose lanes fit _STACK_ELEMENTS: one group,
-    unless the stack is a single matrix too large for all its primes at once.
+    The primes run in groups whose lanes fit _STACK_ELEMENTS.
     """
     batch, n = len(stack), len(stack[0])
     group = max(1, _STACK_ELEMENTS // (3 * batch * n * n or 1))
@@ -258,13 +252,14 @@ def cluster_floats(values) -> list[tuple[float, int]]:
 def order_stacks(orders) -> list[list[int]]:
     """The indices of a batch of square matrices of the given orders,
     grouped by order (first appearance first) and cut into stacks of at most
-    _STACK_ELEMENTS matrix elements; a single larger matrix is a stack alone."""
+    _STACK_ELEMENTS matrix elements; a single larger matrix is a stack alone.
+    Every batched kernel takes its stacks from here."""
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(orders):
         groups.setdefault(n, []).append(i)
     stacks = []
     for n, members in groups.items():
-        size = max(1, _STACK_ELEMENTS // (n * n))
+        size = max(1, _STACK_ELEMENTS // (n * n or 1))
         stacks.extend(members[s:s + size] for s in range(0, len(members), size))
     return stacks
 

@@ -295,15 +295,6 @@ def _walk_ranks(a) -> list[int]:
     return counts
 
 
-def _adjacency_stack(graphs) -> np.ndarray:
-    """The float64 adjacency matrices of same-order graphs, stacked."""
-    n = graphs[0].n
-    a = np.empty((len(graphs), n, n))
-    for s, g in enumerate(graphs):
-        a[s] = g.adjacency_matrix()
-    return a
-
-
 def two_walk_params(g: Graph) -> TwoWalkParams | None:
     """(alpha, beta) with A d = alpha d + beta j, or None (regular or no solution).
 
@@ -328,24 +319,20 @@ def two_walk_params(g: Graph) -> TwoWalkParams | None:
     return TwoWalkParams(Fraction(p, q), Fraction(b, q))
 
 
-def _ranks_and_radii(graphs) -> tuple[list[int], list[float]]:
-    """Main-eigenvalue counts and spectral radii of same-order graphs, from
-    one adjacency stack, which is freed on return."""
-    a = _adjacency_stack(graphs)
-    return _walk_ranks(a), np.linalg.eigvalsh(a).max(axis=1).tolist()
-
-
 def main_spectrum_reports(graphs) -> list[MainSpectrumReport]:
     """Full main-spectrum report for each graph.  The main count is the rank
     of the walk matrix (columns j, A j, A^2 j, ...), found modulo primes and
     proven exactly (see _walk_ranks).  The graphs of one order share an
     adjacency stack (see linalg.order_stacks): one walk-rank kernel and one
-    eigvalsh for the spectral radius (reported only; no decision reads it)."""
+    eigvalsh for the spectral radius (reported only; no decision reads it).
+    Each stack is freed before the next is built."""
     graphs = list(graphs)
     counts, radii = [0] * len(graphs), [0.0] * len(graphs)
     for stack in order_stacks([g.n for g in graphs]):
-        for i, k, rho in zip(stack, *_ranks_and_radii([graphs[i] for i in stack])):
+        a = np.array([graphs[i].adjacency_matrix() for i in stack], dtype=float)
+        for i, k, rho in zip(stack, _walk_ranks(a), np.linalg.eigvalsh(a).max(axis=1).tolist()):
             counts[i], radii[i] = k, rho
+        del a
     reports = []
     for g, k, rho in zip(graphs, counts, radii):
         d = degree_vector(g)

@@ -26,9 +26,10 @@ check the package against them.
 - switch / enumerate_switching_class / classify_member: one member at a
   time, on bitset graphs; the census kernel's reference.
 - relabel: a graph under a vertex permutation, for invariance tests.
-- neighbours / diameter / circulant: the set bits of a row, the exact
-  diameter by a BFS from every vertex, and the circulant graph on given
-  connections; graph helpers that the package itself does not need.
+- neighbours / diameter / circulant / complete / path: the set bits of a
+  row, the exact diameter by a BFS from every vertex, the circulant graph
+  on given connections, the complete graph and the path; graph helpers
+  that the package itself does not need.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from fractions import Fraction
 
 from mainspectra.census import ClassificationError, Convention, _check_size
 from mainspectra.constructions import quotient_for
-from mainspectra.graphs import Graph, degree_vector, graph_from_edges, is_connected
+from mainspectra.graphs import (
+    Graph,
+    _check_vertex_count,
+    degree_vector,
+    graph_from_edges,
+    is_connected,
+)
 from mainspectra.linalg import Poly, poly_mul, poly_primitive, poly_trim
 from mainspectra.seidel import switch_mask
 from mainspectra.spectrum import fraction_to_json, two_walk_params
@@ -381,3 +388,16 @@ def circulant(n: int, connections) -> Graph:
         if not 1 <= s <= n // 2:
             raise ValueError(f"connection {s} outside 1..{n // 2}")
     return graph_from_edges(n, ((v, (v + s) % n) for v in range(n) for s in conns))
+
+
+def complete(n: int) -> Graph:
+    """K_n; the vertex count is checked before any row is built."""
+    _check_vertex_count(n)
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
+def path(n: int) -> Graph:
+    """P_n; the vertex count is checked before any edge is built."""
+    _check_vertex_count(n)
+    return graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])

@@ -5,6 +5,9 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -307,3 +310,12 @@ def test_run_census_reproduces_results(tmp_path, monkeypatch, capsys):
     for name in names:
         assert (tmp_path / name).read_bytes() == (RESULTS / name).read_bytes(), name
     print("\n[acceptance] run_census.py: PASS (results/ reproduced byte for byte)")
+
+
+def test_run_census_runs_from_a_plain_checkout(tmp_path):
+    # neither installed nor on PYTHONPATH: the script finds this checkout's src/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = RESULTS.parent / "scripts" / "run_census.py"
+    done = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -16,12 +16,10 @@ from mainspectra import (
     census_table,
     char_poly,
     compare_to_reference,
-    complete,
     cycle,
     degree_vector,
     graph_from_edges,
     is_connected,
-    path,
     star,
     symplectic_graph,
     verify_switching_invariance_exhaustive,
@@ -40,7 +38,15 @@ from mainspectra.cli import main
 from mainspectra.seidel import seidel_report, switch_mask
 
 from conftest import paley_plus_k1
-from oracles import classify_member, enumerate_switching_class, poly_divides, relabel, switch
+from oracles import (
+    classify_member,
+    complete,
+    enumerate_switching_class,
+    path,
+    poly_divides,
+    relabel,
+    switch,
+)
 
 
 def test_enumerate_k2():

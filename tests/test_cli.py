@@ -515,6 +515,7 @@ MALFORMED_REFERENCES = [
     (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),-5^1,1\n",
      "reference CSV line 2: value does not parse "
      "(valencies '-5^1': -5^1 needs degree >= 0, count >= 1)"),
+    (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),5^1,-5\n", "reference CSV line 2: count -5 is below 1"),
     # the same key with the valency items in another order is the same row
     (HEADER + "8,-9,4+sqrt(7),4-sqrt(7),\"3^1,5^3\",240\n8,0,8,0,5^1,1\n"
      "8,-9,4+sqrt(7),4-sqrt(7),\"5^3,3^1\",7\n",
@@ -525,7 +526,7 @@ MALFORMED_REFERENCES = [
 @pytest.mark.parametrize(
     "text, message", MALFORMED_REFERENCES,
     ids=["column", "short", "long", "value", "zero", "repeated-degree", "zero-count",
-         "negative-count", "negative-degree", "duplicate-row"],
+         "negative-count", "negative-degree", "row-count", "duplicate-row"],
 )
 def test_census_malformed_reference_exits_2(capsys, tmp_path, text, message):
     reference = tmp_path / "reference.csv"

@@ -8,7 +8,6 @@ from mainspectra import (
     analyze,
     boundary_impossibility,
     cone_over_regular,
-    complete,
     cycle,
     degree_vector,
     equitable_biregular_from,
@@ -29,7 +28,7 @@ from mainspectra import (
 from mainspectra.constructions import quotient_for
 from mainspectra.spectrum import TwoWalkParams
 
-from oracles import biregular_block_sizes, classify_member, diameter, quotient_matrix
+from oracles import biregular_block_sizes, classify_member, complete, diameter, quotient_matrix
 
 
 def tw(alpha, beta):

@@ -11,7 +11,6 @@ from mainspectra import (
     distinct_root_count,
     equitable_records,
     is_equitable,
-    path,
     symplectic_graph,
     t_lambda_tree,
     valency_partition,
@@ -19,7 +18,7 @@ from mainspectra import (
 from mainspectra.equitable import _refine
 
 from conftest import graphs
-from oracles import quotient_matrix
+from oracles import path, quotient_matrix
 
 
 def test_valency_partition_examples():

@@ -6,7 +6,6 @@ from hypothesis import given
 
 from mainspectra import (
     Graph6Error,
-    complete,
     graph_from_edges,
     parse_graph6,
     write_graph6,
@@ -14,6 +13,7 @@ from mainspectra import (
 from mainspectra.graphs import star
 
 from conftest import graphs
+from oracles import complete
 
 
 def write_graph6_bitwise(g):

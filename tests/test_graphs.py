@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 
 from mainspectra import (
-    complete,
     cone,
     cycle,
     degree_vector,
@@ -12,14 +11,13 @@ from mainspectra import (
     graph_from_edges,
     induced_subgraph,
     is_connected,
-    path,
     star,
     t_lambda_tree,
 )
 from mainspectra.graphs import CAP_ENV_VAR, Graph
 
 from conftest import graphs
-from oracles import circulant, diameter, relabel
+from oracles import circulant, complete, diameter, path, relabel
 
 
 def test_graph_from_edges_p3():

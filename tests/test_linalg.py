@@ -12,7 +12,6 @@ from mainspectra import (
     char_polys,
     cycle,
     distinct_root_count,
-    path,
     seidel_matrix,
     squarefree_part,
     symplectic_graph,
@@ -23,6 +22,7 @@ from mainspectra.equitable import _refine
 from mainspectra.linalg import (
     cluster_floats,
     extract_integer_roots,
+    order_stacks,
     poly_derivative,
     poly_mul,
     poly_primitive,
@@ -31,7 +31,7 @@ from mainspectra.linalg import (
 )
 from mainspectra.seidel import switch_mask
 
-from oracles import poly_divides, poly_eval, poly_gcd, poly_pow, quotient_matrix, rank_exact
+from oracles import path, poly_divides, poly_eval, poly_gcd, poly_pow, quotient_matrix, rank_exact
 
 
 # -- oracles -----------------------------------------------------------------
@@ -256,11 +256,12 @@ def test_char_polys_mixed_stack():
 
 
 def test_char_polys_splits_at_the_element_budget(monkeypatch):
-    # 40 n = 8 Seidel matrices under a budget of 3 * 2 * 64 * 5 elements run
-    # as stacks of at most 5; a single n = 16 matrix above it runs alone
+    # order_stacks cuts 40 n = 8 Seidel matrices under a budget of 1,920
+    # elements into stacks of 30 and 10, and the n = 16 matrix runs alone
     stacks = []
     original = linalg._char_poly_stack
-    monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 3 * 2 * 64 * 5)
+    monkeypatch.setattr(linalg, "_STACK_ELEMENTS", 1920)
+
     def recording(stack, *args):
         stacks.append(len(stack))
         return original(stack, *args)
@@ -271,12 +272,13 @@ def test_char_polys_splits_at_the_element_budget(monkeypatch):
     graphs += [switch_mask(path(8), rng.getrandbits(8)) for _ in range(20)]
     mats = [seidel_matrix(g) for g in graphs] + [seidel_matrix(symplectic_graph(2))]
     assert char_polys(mats) == [char_poly_object(m) for m in mats]
-    assert max(stacks) <= 5 and sum(stacks) == 41 and stacks[-1] == 1
+    assert stacks == [30, 10, 1]
 
 
 def test_char_polys_splits_the_primes_of_a_large_matrix(monkeypatch):
-    # a budget of two n = 16 lanes: Sp(4)'s matrices run their 3 primes as
-    # groups of 2 and 1, and the n = 64 Sp(6) Seidel matrix its 9 one by one
+    # a budget of two n = 16 lanes: Sp(4)'s two matrices share one stack and
+    # run its 3 primes one at a time, and the n = 64 Sp(6) Seidel matrix its
+    # 9 one by one
     groups = []
     original = linalg._residues
 
@@ -289,7 +291,7 @@ def test_char_polys_splits_the_primes_of_a_large_matrix(monkeypatch):
     sp4 = symplectic_graph(2)
     mats = [seidel_matrix(sp4), sp4.adjacency_matrix()]
     assert char_polys(mats) == [char_poly_object(m) for m in mats]
-    assert groups == [(16, 2), (16, 1)] * 2
+    assert groups == [(16, 1)] * 3
     groups.clear()
     s = seidel_matrix(sp6_member())
     assert char_poly(s) == poly_mul(poly_pow((-7, 1), 36), poly_pow((9, 1), 28))
@@ -298,6 +300,11 @@ def test_char_polys_splits_the_primes_of_a_large_matrix(monkeypatch):
     monkeypatch.setattr(linalg, "_coefficient_bound", lambda rows: 1)
     with pytest.raises(AssertionError, match="check prime"):
         char_poly(s)
+
+
+def test_order_zero_is_a_stack_and_has_char_poly_one():
+    assert order_stacks([0, 3, 0]) == [[0, 2], [1]]
+    assert char_polys([np.zeros((0, 0), np.int64)]) == [(1,)]
 
 
 def test_char_polys_check_prime_catches_a_low_bound_in_a_stack(monkeypatch):

@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "char_poly",
     "char_polys",
     "compare_to_reference",
-    "complete",
     "cone",
     "cone_over_regular",
     "cycle",
@@ -41,7 +40,6 @@ PUBLIC_NAMES = [
     "is_equitable",
     "main_spectrum_reports",
     "parse_graph6",
-    "path",
     "seidel_matrix",
     "seidel_report",
     "seidel_reports",

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from mainspectra import (
     SeidelReport,
     char_poly,
-    complete,
     cycle,
     distinct_root_count,
     graph_from_edges,
-    path,
     seidel_matrix,
     seidel_report,
     seidel_reports,
@@ -23,7 +21,7 @@ from mainspectra.linalg import poly_mul
 from mainspectra.seidel import non_main_factor, structure_skip_reason
 
 from conftest import graphs, paley_plus_k1
-from oracles import non_main_factor_from_spectrum, poly_pow, rank_exact, switch
+from oracles import complete, non_main_factor_from_spectrum, path, poly_pow, rank_exact, switch
 
 
 # -- independent strong-graph oracle ------------------------------------------

@@ -16,13 +16,11 @@ from hypothesis import given, settings
 from mainspectra import (
     analyze,
     char_poly,
-    complete,
     cone,
     cycle,
     degree_vector,
     graph_from_edges,
     main_spectrum_reports,
-    path,
     seidel_matrix,
     sp_component,
     star,
@@ -37,9 +35,11 @@ from mainspectra.spectrum import TwoWalkParams
 from conftest import graphs
 from oracles import (
     circulant,
+    complete,
     existence_check,
     harmonic_delta_walk,
     neighbours,
+    path,
     poly_divides,
     rank_exact,
     walk_matrix,
