@@ -7,8 +7,9 @@ PYTHONPATH=src) and writes into OUT_DIR:
   analyze/   analyze --seidel --equitable --format json, and --format csv,
              on each data/*.g6; analyze on a 129-vertex graph6 line next to
              a valid one under the default vertex cap of 128; analyze
-             under a malformed MAINSPECTRA_VERTEX_CAP; analyze --format
-             json on path(40) (walk rank 20), on a seeded G(64, 1/2) (full
+             under a malformed MAINSPECTRA_VERTEX_CAP; analyze on a file
+             followed by '-' (stdin); analyze --format json on path(40)
+             (walk rank 20), on a seeded G(64, 1/2) (full
              walk rank), on K31 + K30 + ... + K2 (walk rank 30, whose
              certificate needs one lift prime beyond the lift target) and
              on a seeded G(128, 1/2) with a pair of twin vertices (walk rank
@@ -108,6 +109,8 @@ def analyze_outputs(out: Path) -> None:
     run(out, "over-cap", ["analyze"], stdin=f"{graph6_line(129, [])}\nDhc\n",
         MAINSPECTRA_VERTEX_CAP="128")
     run(out, "bad-cap", ["analyze"], stdin="Dhc\nDhc\n", MAINSPECTRA_VERTEX_CAP="abc")
+    # a file, then '-' for stdin
+    run(out, "stdin-dash", ["analyze", "data/graph6_roundtrip.g6", "-"], stdin="Dhc\n")
     rng = random.Random(RANDOM_SEED)
     gnp = [(u, v) for v in range(64) for u in range(v) if rng.random() < 0.5]
     cliques, s = [], 0

@@ -48,7 +48,6 @@ from .linalg import (
     char_poly,
     char_polys,
     distinct_root_count,
-    squarefree_part,
 )
 from .seidel import (
     SeidelReport,

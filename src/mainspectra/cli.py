@@ -53,10 +53,13 @@ from .spectrum import main_spectrum_reports, two_walk_params
 
 
 def _read_lines(inputs: list) -> list[str]:
-    if not inputs or inputs == ["-"]:
-        return sys.stdin.read().splitlines()
+    """The lines of the inputs in order, each '-' (and no input at all)
+    standing for stdin."""
     lines: list[str] = []
-    for name in inputs:
+    for name in inputs or ["-"]:
+        if name == "-":
+            lines.extend(sys.stdin.read().splitlines())
+            continue
         with open(name) as fh:
             lines.extend(fh.read().splitlines())
     return lines

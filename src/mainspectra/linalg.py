@@ -410,21 +410,6 @@ def _derivative_gcd(p: Poly) -> Poly:
     raise ValueError("too few primes for the modular gcd")
 
 
-def squarefree_part(p) -> Poly:
-    """p / gcd(p, p'), primitive with positive leading coefficient.
-
-    The gcd is primitive, so by Gauss's lemma the quotient has integer
-    coefficients and exact integer long division finds it.
-    """
-    p = poly_trim(p)
-    if not p:
-        raise ValueError("zero polynomial has no squarefree part")
-    quo = _exact_quotient(p, _derivative_gcd(p))
-    if quo is None:
-        raise AssertionError("gcd does not divide its polynomial")
-    return _primitive_positive(quo)
-
-
 def distinct_root_count(p) -> int:
     """Number of distinct complex roots: deg p - deg gcd(p, p'), the degree
     of the squarefree part."""

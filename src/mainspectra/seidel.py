@@ -16,7 +16,7 @@ import numpy as np
 from .graphs import Graph, degree_vector
 from .linalg import (
     Poly,
-    _exact_quotient,
+    _derivative_gcd,
     char_polys,
     cluster_floats,
     distinct_root_count,
@@ -24,7 +24,6 @@ from .linalg import (
     order_stacks,
     poly_mul,
     poly_trim,
-    squarefree_part,
 )
 
 
@@ -175,9 +174,9 @@ def non_main_factor(rep: SeidelReport) -> Poly:
     sum to alpha = Q[-2], minus the sum of Q's roots.
 
     The Seidel polynomial at y = -1 - 2x is (-2)^n P with
-    P = prod (x - theta_i)^(m_i), and Q = P / prod (x - theta_i), the
-    squarefree part of P.  P is integral: either the rho_i are odd, or they
-    are +-sqrt(n - 1) with n = 2 (mod 4) and prod (x - theta_i) is
+    P = prod (x - theta_i)^(m_i), and Q = P / prod (x - theta_i) =
+    gcd(P, P'), monic as P is.  P is integral: either the rho_i are odd, or
+    they are +-sqrt(n - 1) with n = 2 (mod 4) and prod (x - theta_i) is
     x^2 + x - (n - 2)/4.
     """
     cp = rep.seidel_char_poly
@@ -189,7 +188,7 @@ def non_main_factor(rep: SeidelReport) -> Poly:
     if any(c % scale for c in scaled):
         raise AssertionError("forced adjacency eigenvalues are not algebraic integers")
     p = tuple(c // scale for c in scaled)
-    return _exact_quotient(p, squarefree_part(p))
+    return _derivative_gcd(p)
 
 
 def srg_params(g: Graph) -> tuple[int, int, int, int] | None:

@@ -146,36 +146,35 @@ _UNLUCKY_PRIMES = 4
 _DOT_TERMS = 1 << 10
 
 
-def _walk_step(a, x, p):
-    """A x modulo p per lane, for a float64 adjacency stack a (b, n, n),
-    residues x (b, n) and primes p (b, 1): exact in float64, as every
-    partial sum stays below n p < 2^53."""
-    return np.remainder(np.matmul(a, x[:, :, None])[:, :, 0], p)
+def _walk_step(a, x, q):
+    """A x modulo the prime q, for a float64 adjacency stack a (b, n, n) and
+    residues x (b, n): exact in float64, as every partial sum stays below
+    n q < 2^53."""
+    return np.remainder(np.matmul(a, x[:, :, None])[:, :, 0], q)
 
 
-def _reduce(x, f, rows, p):
-    """x - sum_i f[:, i] rows[:, i] modulo p per lane, in int64: x (b, m),
-    f (b, k) and rows (b, k, m) hold residues below p < 2^26."""
+def _reduce(x, f, rows, q):
+    """x - sum_i f[:, i] rows[:, i] modulo the prime q, in int64: x (b, m),
+    f (b, k) and rows (b, k, m) hold residues below q < 2^26."""
     for s in range(0, f.shape[1], _DOT_TERMS):
-        x = (x - np.matmul(f[:, None, s:s + _DOT_TERMS], rows[:, s:s + _DOT_TERMS])[:, 0]) % p
+        x = (x - np.matmul(f[:, None, s:s + _DOT_TERMS], rows[:, s:s + _DOT_TERMS])[:, 0]) % q
     return x
 
 
-def _walk_dependencies(a, primes) -> tuple[list[int], list]:
+def _walk_dependencies(a, q) -> tuple[list[int], list]:
     """The walk rank of each matrix of a float64 adjacency stack a (b, n, n)
-    modulo its lane's prime, and the monic dependency there.
+    modulo the prime q, and the monic dependency there.
 
     The walk vectors j, A j, A^2 j, ... are made one step at a time modulo
-    p and reduced against a reduced echelon basis whose pivots are 1.  Each
+    q and reduced against a reduced echelon basis whose pivots are 1.  Each
     basis row carries, in its last n columns, its combination of the walk
     vectors, so a walk vector A^k j enters as itself next to e_k.  A lane
     stops at its first walk vector A^r j that reduces to zero: its rank is
-    r, and the combination's coefficients [m_0, ..., m_r = 1], in [0, p),
-    give m(A) j = 0 modulo p.  A lane independent to the end has rank n and
+    r, and the combination's coefficients [m_0, ..., m_r = 1], in [0, q),
+    give m(A) j = 0 modulo q.  A lane independent to the end has rank n and
     dependency None.
     """
     b, n = a.shape[:2]
-    p = np.array(primes, dtype=np.int64).reshape(b, 1)
     ranks, deps = [n] * b, [None] * b
     lanes = np.arange(b)
     walk = np.ones((b, n))
@@ -186,7 +185,7 @@ def _walk_dependencies(a, primes) -> tuple[list[int], list]:
         x[:, :n] = walk
         x[:, n + k] = 1
         rows = np.arange(len(x))
-        x = _reduce(x, x[rows[:, None], pivots], basis, p)
+        x = _reduce(x, x[rows[:, None], pivots], basis, q)
         dependent = ~x[:, :n].any(axis=1)
         if dependent.any():
             for lane, dep in zip(lanes[dependent].tolist(), x[dependent, n:n + k + 1].tolist()):
@@ -194,58 +193,39 @@ def _walk_dependencies(a, primes) -> tuple[list[int], list]:
             keep = ~dependent
             if not keep.any():
                 break
-            a, p, lanes, walk, x, basis, pivots = (
-                y[keep] for y in (a, p, lanes, walk, x, basis, pivots)
+            a, lanes, walk, x, basis, pivots = (
+                y[keep] for y in (a, lanes, walk, x, basis, pivots)
             )
             rows = rows[: len(x)]
         pivot = (x[:, :n] != 0).argmax(axis=1)
-        lead = x[rows, pivot].tolist()
-        x = x * np.array([[pow(c, -1, q)] for c, q in zip(lead, p[:, 0].tolist())]) % p
+        x = x * np.array([[pow(c, -1, q)] for c in x[rows, pivot].tolist()]) % q
         column = basis[rows, :, pivot][:, :, None]
-        basis = np.concatenate([(basis - column * x[:, None]) % p[:, :, None], x[:, None]], 1)
+        basis = np.concatenate([(basis - column * x[:, None]) % q, x[:, None]], 1)
         pivots = np.concatenate([pivots, pivot[:, None]], axis=1)
-        walk = _walk_step(a, walk, p)
+        walk = _walk_step(a, walk, q)
     return ranks, deps
-
-
-def _next_prime(primes) -> int:
-    q = next(primes, None)
-    if q is None:
-        raise AssertionError("walk rank certificate ran out of primes")
-    return q
-
-
-def _dependency_runs(a, jobs) -> list:
-    """The (rank, dependency) of each job (matrix index into a, prime), from
-    _walk_dependencies over stacks of jobs cut by order_stacks; a itself when
-    a stack is all of a in order, so a single large matrix is not copied."""
-    out = []
-    for stack in order_stacks([a.shape[-1]] * len(jobs)):
-        rows = [jobs[i][0] for i in stack]
-        ranks, deps = _walk_dependencies(a if rows == list(range(len(a))) else a[rows],
-                                         [jobs[i][1] for i in stack])
-        out.extend(zip(ranks, deps))
-    return out
 
 
 def _walk_ranks(a) -> list[int]:
     """The main-eigenvalue count of each matrix of a float64 adjacency stack
     a (b, n, n), each one proven.
 
-    The walk rank modulo a prime never exceeds the rank over Q, so rank n
-    modulo a prime is proof, and a lower rank R is a floor.  The dependencies
-    modulo the lane's primes of rank R are lifted by CRT to M once their
-    product P exceeds 2 (1 + D)^R, D the largest degree.  If the rank is R,
-    those primes are all lucky and M is the main polynomial m, whose roots
-    are distinct eigenvalues of absolute value at most D: |m_i| <= C(R, i)
-    D^(R - i).  Let B = sum |M_i| D^i.  If B < P, the rank is R: M is monic
-    of degree R, M(A) j vanishes modulo every lift prime and |M(A) j| <= B,
-    so M(A) j = 0.  No other count below n is returned.  If B > (2D)^R, which
-    bounds B(m), M is not m: every prime of rank R was unlucky, and the floor
-    rises to R + 1.  Otherwise the lane asks for more primes of rank R.  A
-    prime of lower rank than another is unlucky too, so a floor raised in
-    error cannot give a wrong count, only unlucky primes; after
-    _UNLUCKY_PRIMES of them, or when the primes run out, AssertionError.
+    Each round takes a fresh prime and runs every open lane (a matrix with
+    no proven count yet) modulo it.  The walk rank modulo a prime never
+    exceeds the rank over Q, so rank n modulo a prime is proof, and a lower
+    rank R is a floor.  The dependencies modulo the lane's primes of rank R
+    are lifted by CRT to M once their product P exceeds 2 (1 + D)^R, D the
+    largest degree.  If the rank is R, those primes are all lucky and M is
+    the main polynomial m, whose roots are distinct eigenvalues of absolute
+    value at most D: |m_i| <= C(R, i) D^(R - i).  Let B = sum |M_i| D^i.  If
+    B < P, the rank is R: M is monic of degree R, M(A) j vanishes modulo
+    every lift prime and |M(A) j| <= B, so M(A) j = 0.  No other count below
+    n is returned.  If B > (2D)^R, which bounds B(m), M is not m: every
+    prime of rank R was unlucky, and the floor rises to R + 1.  Otherwise
+    the lane takes the next round's prime.  A prime of lower rank than
+    another is unlucky too, so a floor raised in error cannot give a wrong
+    count, only unlucky primes; after _UNLUCKY_PRIMES of them, or when the
+    primes run out, AssertionError.
     """
     b, n = a.shape[:2]
     degrees = a.sum(axis=2).max(axis=1).astype(np.int64).tolist()
@@ -254,44 +234,35 @@ def _walk_ranks(a) -> list[int]:
     floor = [0] * b  # the rank over Q is at least this
     found: list = [[] for _ in range(b)]  # (q, dependency) for the primes of rank floor
     unlucky = [0] * b
-    want = {lane: 1 for lane in range(b)}
-    while want:
-        fresh = [_next_prime(primes) for _ in range(max(want.values()))]
-        jobs = [(lane, q) for lane, count in want.items() for q in fresh[:count]]
-        for (lane, q), (r, dep) in zip(jobs, _dependency_runs(a, jobs)):
-            if counts[lane] is not None:
-                continue
+    open_lanes = list(range(b))
+    while open_lanes:
+        q = next(primes, None)
+        if q is None:
+            raise AssertionError("walk rank certificate ran out of primes")
+        ranks, deps = _walk_dependencies(a if len(open_lanes) == b else a[open_lanes], q)
+        for lane, r, dep in zip(open_lanes, ranks, deps):
             if r == n:
                 counts[lane] = n
-            elif r > floor[lane]:
+                continue
+            if r > floor[lane]:
                 unlucky[lane] += len(found[lane])
                 floor[lane], found[lane] = r, [(q, dep)]
             elif r == floor[lane]:
                 found[lane].append((q, dep))
             else:
                 unlucky[lane] += 1
-        want = {}
-        for lane in range(b):
-            if counts[lane] is not None:
-                continue
             if unlucky[lane] >= _UNLUCKY_PRIMES:
                 raise AssertionError(f"walk rank certificate met {unlucky[lane]} unlucky primes")
             lift, product = _crt(found[lane])
             delta, rank = degrees[lane], floor[lane]
-            bound = 2 * (1 + delta) ** rank  # the lift target, then B
-            if found[lane] and product > bound:
-                bound = sum(abs(c) * delta**i for i, c in enumerate(lift))
+            if product > 2 * (1 + delta) ** rank:  # the lift target
+                bound = sum(abs(c) * delta**i for i, c in enumerate(lift))  # B
                 if product > bound:
                     counts[lane] = rank
-                    continue
-                if bound > (2 * delta) ** rank:
+                elif bound > (2 * delta) ** rank:
                     unlucky[lane] += len(found[lane])
                     floor[lane], found[lane] = rank + 1, []
-                    want[lane] = 1
-                    continue
-            # each further prime adds over 25 bits: the first 1.9 million
-            # primes below 2^26 exceed 2^25 (fewer bits only mean a later round)
-            want[lane] = -(-(bound // product).bit_length() // 25)
+        open_lanes = [lane for lane in open_lanes if counts[lane] is None]
     return counts
 
 

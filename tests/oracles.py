@@ -10,6 +10,8 @@ check the package against them.
   one eigenvalue at a time; the reference of `seidel.non_main_factor`.
 - poly_gcd: the primitive pseudo-remainder sequence.
 - poly_divmod / poly_divides: long division over the rationals.
+- squarefree_part: p over linalg's modular gcd(p, p'), by exact integer
+  division; the package reads gcd(P, P') itself.
 - rank_exact: rank over the rationals by fraction-free elimination of the
   whole matrix; the walk-rank and strong-graph reference.
 - walk_matrix: the full walk matrix (columns j, Aj, A^2 j, ...).
@@ -39,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from mainspectra import linalg
 from mainspectra.census import ClassificationError, Convention, _check_size
 from mainspectra.constructions import quotient_for
 from mainspectra.graphs import (
@@ -174,6 +177,20 @@ def poly_divides(p, q) -> tuple[bool, Poly | None]:
     if all(isinstance(c, Fraction) and c.denominator == 1 for c in quo):
         quo = tuple([int(c) for c in quo])
     return True, quo
+
+
+def squarefree_part(p) -> Poly:
+    """p / gcd(p, p'), primitive with positive leading coefficient.  The gcd
+    is linalg._derivative_gcd, looked up on the module when called, and
+    primitive, so by Gauss's lemma exact integer long division finds the
+    quotient."""
+    p = poly_trim(p)
+    if not p:
+        raise ValueError("zero polynomial has no squarefree part")
+    quo = linalg._exact_quotient(p, linalg._derivative_gcd(p))
+    if quo is None:
+        raise AssertionError("gcd does not divide its polynomial")
+    return linalg._primitive_positive(quo)
 
 
 def rank_exact(mat) -> int:

@@ -76,6 +76,20 @@ def test_analyze_file_input(capsys, tmp_path):
     assert out.splitlines()[0].startswith("n,edges")
 
 
+@pytest.mark.parametrize("inputs, orders", [
+    (["FILE", "-"], [7, 5]),  # T(2) from the file, then C5 from stdin
+    (["-", "FILE"], [5, 7]),
+    (["-", "-"], [5]),  # the second '-' finds stdin at its end
+])
+def test_analyze_reads_stdin_for_each_dash(capsys, monkeypatch, tmp_path, inputs, orders):
+    f = tmp_path / "in.g6"
+    f.write_text(write_graph6(t_lambda_tree(2)) + "\n")
+    argv = ["analyze", *(str(f) if name == "FILE" else name for name in inputs)]
+    code, out, err = run_cli(capsys, argv, stdin="Dhc\n", monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["n"] for line in out.splitlines()] == orders
+
+
 def graph_by_graph_record(g):
     """An analyze --seidel --equitable record built from the one-graph calls."""
     record = analyze(g).to_json()
@@ -443,7 +457,7 @@ SELF_CHECK_FAULTS = [
     # rank 2 with a lift whose bound passes (2D)^2 = 36: the floor rises to
     # 3, which no prime reaches
     ("spectrum", "_walk_dependencies",
-     lambda a, primes: ([2] * len(a), [[q // 2, q // 2, 1] for q in primes]), [], star(4),
+     lambda a, q: ([2] * len(a), [[q // 2, q // 2, 1]] * len(a)), [], star(4),
      "walk rank certificate met 4 unlucky primes"),
     ("linalg", "_coefficient_bound", lambda stack: 1, ["--seidel"], symplectic_graph(2),
      "check prime disagrees"),

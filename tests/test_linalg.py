@@ -13,7 +13,6 @@ from mainspectra import (
     cycle,
     distinct_root_count,
     seidel_matrix,
-    squarefree_part,
     symplectic_graph,
     valency_partition,
 )
@@ -31,7 +30,16 @@ from mainspectra.linalg import (
 )
 from mainspectra.seidel import switch_mask
 
-from oracles import path, poly_divides, poly_eval, poly_gcd, poly_pow, quotient_matrix, rank_exact
+from oracles import (
+    path,
+    poly_divides,
+    poly_eval,
+    poly_gcd,
+    poly_pow,
+    quotient_matrix,
+    rank_exact,
+    squarefree_part,
+)
 
 
 # -- oracles -----------------------------------------------------------------

@@ -46,7 +46,6 @@ PUBLIC_NAMES = [
     "sp_component",
     "splice",
     "splice_chain",
-    "squarefree_part",
     "srg_params",
     "star",
     "symplectic_graph",

@@ -172,13 +172,13 @@ def test_an_unlucky_prime_is_outvoted(monkeypatch):
     from mainspectra import spectrum
 
     g = star(4)
-    assert spectrum._walk_dependencies(g.adjacency_matrix()[None].astype(float), [2])[0] == [1]
+    assert spectrum._walk_dependencies(g.adjacency_matrix()[None].astype(float), 2)[0] == [1]
     dependencies = spectrum._walk_dependencies
     seen = []
 
-    def recorded(a, primes):
-        seen.extend(primes)
-        return dependencies(a, primes)
+    def recorded(a, q):
+        seen.append(q)
+        return dependencies(a, q)
 
     monkeypatch.setattr(spectrum, "primes_below", _primes_from([2], 1 << 26))
     monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
@@ -204,15 +204,15 @@ def _complete_union(sizes):
 
 
 def _recorded_eliminations(monkeypatch):
-    """The primes of each _walk_dependencies call, as the calls happen."""
+    """The prime of each _walk_dependencies call, as the calls happen."""
     from mainspectra import spectrum
 
     calls = []
     dependencies = spectrum._walk_dependencies
 
-    def recorded(a, primes):
-        calls.append(list(primes))
-        return dependencies(a, primes)
+    def recorded(a, q):
+        calls.append(q)
+        return dependencies(a, q)
 
     monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
     return calls
@@ -229,7 +229,7 @@ def test_the_certificate_adds_a_lift_prime(monkeypatch):
     monkeypatch.setattr(spectrum, "primes_below", lambda _top: linalg.primes_below(1 << 12))
     calls = _recorded_eliminations(monkeypatch)
     assert analyze(g).main_count == walk_rank_echelon(g) == 3
-    assert calls == [[4093], [4091]]
+    assert calls == [4093, 4091]
 
 
 def test_the_certificate_adds_a_lift_prime_with_real_primes(monkeypatch):
@@ -240,7 +240,26 @@ def test_the_certificate_adds_a_lift_prime_with_real_primes(monkeypatch):
     g = _complete_union(range(31, 1, -1))
     calls = _recorded_eliminations(monkeypatch)
     assert analyze(g).main_count == 30
-    assert sum(map(len, calls)) == 7
+    assert len(calls) == 7
+
+
+def test_a_closed_lane_leaves_the_round(monkeypatch):
+    # K11 + K10 + K9 and C30 share one stack of order 30; C30 (rank 1) is
+    # proven by the first prime, so only the clique union takes the second
+    from mainspectra import linalg, spectrum
+
+    monkeypatch.setattr(spectrum, "primes_below", lambda _top: linalg.primes_below(1 << 12))
+    dependencies = spectrum._walk_dependencies
+    calls = []
+
+    def recorded(a, q):
+        calls.append((len(a), q))
+        return dependencies(a, q)
+
+    monkeypatch.setattr(spectrum, "_walk_dependencies", recorded)
+    reports = main_spectrum_reports([_complete_union((11, 10, 9)), cycle(30)])
+    assert [r.main_count for r in reports] == [3, 1]
+    assert calls == [(2, 4093), (1, 4091)]
 
 
 def test_a_wrong_dependency_is_caught_and_never_returned(monkeypatch):
@@ -252,10 +271,9 @@ def test_a_wrong_dependency_is_caught_and_never_returned(monkeypatch):
 
     dependencies = spectrum._walk_dependencies
 
-    def corrupted(a, primes):
-        ranks, deps = dependencies(a, primes)
-        return ranks, [None if d is None else [q // 2] * (len(d) - 1) + [1]
-                       for d, q in zip(deps, primes)]
+    def corrupted(a, q):
+        ranks, deps = dependencies(a, q)
+        return ranks, [None if d is None else [q // 2] * (len(d) - 1) + [1] for d in deps]
 
     monkeypatch.setattr(spectrum, "_walk_dependencies", corrupted)
     with pytest.raises(AssertionError, match="unlucky primes"):
